@@ -1,15 +1,14 @@
-(* Sequential vs parallel exhaustive exploration, as a machine-readable
-   perf record: every instance is explored with [Engine.explore] and with
-   [Engine.explore_par] at several worker counts, the verdicts and
-   execution counts are asserted identical (the determinism contract —
-   the process aborts on any divergence), and the timings land in the
-   report.  Speedups are whatever the host provides: on a single-core
-   container [explore_par] pays its coordination overhead and reports
-   <= 1x; the counts still must match exactly.
+(* Exhaustive exploration as a machine-readable perf record: every
+   instance is walked by the sequential reference [Engine.explore] and by
+   [Engine.verify] at jobs 1 and 2.  The verdicts must agree, a keyless
+   walk must count exactly the reference's executions on a passing tree,
+   and every [verification] field but [steals] must be independent of
+   jobs (the determinism contract — the process aborts on any
+   divergence); the timings land in the report.
 
    The core is a library function so bench/explorebench.exe and
-   `wbctl bench` drive the same instances; [fast] trims the suite (fewer
-   repetitions, fewer worker counts, no K7) for CI gates. *)
+   `wbctl bench` drive the same instances; [fast] trims the suite (one
+   repetition, no K7) for CI gates. *)
 
 module P = Wb_model
 module G = Wb_graph
@@ -41,40 +40,41 @@ let verify_fields (v : P.Engine.verification) =
     ("group_order", J.Int v.P.Engine.group_order);
     ("dedup", J.Bool v.P.Engine.dedup) ]
 
-(* [min_ratio] asserts the canonical explorer's superlinear win: visited
+(* Every field but [steals], as ints: what must not depend on jobs. *)
+let jobs_independent (v : P.Engine.verification) =
+  [ v.P.Engine.states;
+    v.P.Engine.finals;
+    v.P.Engine.dedup_hits;
+    v.P.Engine.orbit_collapses;
+    v.P.Engine.group_order;
+    Bool.to_int v.P.Engine.valid;
+    Bool.to_int v.P.Engine.dedup ]
+
+(* [min_ratio] asserts the keyed walker's superlinear win: visited
    configurations (interior + final) must undercut the enumerator's
    execution count by at least that factor — the ISSUE 9 acceptance bar. *)
-let instance rep ~reps ~jobs_list ?min_ratio ~name ~protocol ~graph ~check () =
+let instance rep ~reps ?min_ratio ~name ~protocol ~graph ~check () =
   let seq, seq_s = best_of reps (fun () -> P.Engine.explore_packed protocol graph check) in
   let seq_ok, seq_count =
     match seq with
     | Ok r -> r
-    | Error (`Limit _) -> failwith (name ^ ": sequential exploration hit the limit")
+    | Error (`Limit _) -> failwith (name ^ ": reference exploration hit the limit")
   in
-  let par_rows =
-    List.map
-      (fun jobs ->
-        let par, par_s =
-          best_of reps (fun () -> P.Engine.explore_par_packed ~jobs protocol graph check)
-        in
-        (match par with
-        | Error (`Limit _) -> failwith (name ^ ": parallel exploration hit the limit")
-        | Ok (ok, count) ->
-          if ok <> seq_ok then failwith (name ^ ": parallel verdict diverged");
-          if seq_ok && count <> seq_count then
-            failwith
-              (Printf.sprintf "%s: parallel execution count diverged (%d vs %d)" name count
-                 seq_count));
-        (jobs, par_s))
-      jobs_list
+  let verify jobs =
+    match best_of reps (fun () -> P.Engine.verify_packed ~jobs protocol graph check) with
+    | Error (`Limit _), _ -> failwith (Printf.sprintf "%s: verify jobs=%d hit the limit" name jobs)
+    | Ok v, s ->
+      if v.P.Engine.valid <> seq_ok then
+        failwith (Printf.sprintf "%s: verify jobs=%d verdict diverged" name jobs);
+      if seq_ok && (not v.P.Engine.dedup) && v.P.Engine.finals <> seq_count then
+        failwith
+          (Printf.sprintf "%s: keyless execution count diverged (%d vs %d)" name
+             v.P.Engine.finals seq_count);
+      (v, s)
   in
-  let ver, ver_s = best_of reps (fun () -> P.Engine.verify_packed protocol graph check) in
-  let v =
-    match ver with
-    | Ok v -> v
-    | Error (`Limit _) -> failwith (name ^ ": canonical exploration hit the limit")
-  in
-  if v.P.Engine.valid <> seq_ok then failwith (name ^ ": canonical verdict diverged");
+  let v, ver_s = verify 1 in
+  let v2, ver2_s = verify 2 in
+  if jobs_independent v2 <> jobs_independent v then failwith (name ^ ": verify result depends on jobs");
   (match min_ratio with
   | Some r when v.P.Engine.dedup ->
     let visited = v.P.Engine.states + v.P.Engine.finals in
@@ -82,23 +82,19 @@ let instance rep ~reps ~jobs_list ?min_ratio ~name ~protocol ~graph ~check () =
       failwith
         (Printf.sprintf "%s: dedup visited %d configurations, more than 1/%d of %d executions"
            name visited r seq_count)
-  | Some _ -> failwith (name ^ ": min_ratio set but the traits forced enumerative fallback")
+  | Some _ -> failwith (name ^ ": min_ratio set but the walk was keyless")
   | None -> ());
-  Printf.printf "%-24s %7d execs  seq %8.4fs" name seq_count seq_s;
-  List.iter (fun (jobs, s) -> Printf.printf "  j%d %8.4fs (x%.2f)" jobs s (seq_s /. s)) par_rows;
-  if v.P.Engine.dedup then
-    Printf.printf "  canon %d+%d cfgs %8.4fs" v.P.Engine.states v.P.Engine.finals ver_s;
+  Printf.printf "%-24s %7d execs  explore %8.4fs  verify j1 %8.4fs  j2 %8.4fs" name seq_count
+    seq_s ver_s ver2_s;
+  if v.P.Engine.dedup then Printf.printf "  (%d+%d cfgs)" v.P.Engine.states v.P.Engine.finals;
   print_newline ();
   Report.add_row rep ~name
     ([ ("executions", J.Int seq_count);
        ("all_valid", J.Bool seq_ok);
-       ("seq_s", J.Float seq_s) ]
-    @ List.concat_map
-        (fun (jobs, s) ->
-          [ (Printf.sprintf "par%d_s" jobs, J.Float s);
-            (Printf.sprintf "speedup%d" jobs, J.Float (seq_s /. s)) ])
-        par_rows
-    @ (("verify_s", J.Float ver_s) :: verify_fields v))
+       ("explore_s", J.Float seq_s);
+       ("verify_s", J.Float ver_s);
+       ("verify2_s", J.Float ver2_s) ]
+    @ verify_fields v)
 
 let succeeds_validly problem g =
   fun (r : P.Engine.run) ->
@@ -111,18 +107,12 @@ let all_deadlock (r : P.Engine.run) = P.Engine.outcome_equal r.P.Engine.outcome 
 (* [seed] has no effect on the fixed instance graphs; it is recorded in the
    report so the uniform bench CLI contract holds across every bench. *)
 let run ?(seed = 2012) ?(fast = false) ?out () =
-  let jobs_list = if fast then [ 1; 2 ] else [ 1; 2; 4 ] in
   let reps = if fast then 1 else 3 in
-  print_endline "Exhaustive exploration: sequential vs parallel (counts must match)";
+  print_endline "Exhaustive exploration: explore (reference) vs verify at jobs 1 and 2";
   let rep =
-    Report.create ~bench:"explore" ~seed
-      ~params:
-        [ ("jobs", J.List (List.map (fun j -> J.Int j) jobs_list));
-          ("reps", J.Int reps);
-          ("fast", J.Bool fast) ]
-      ()
+    Report.create ~bench:"explore" ~seed ~params:[ ("reps", J.Int reps); ("fast", J.Bool fast) ] ()
   in
-  let instance = instance rep ~reps ~jobs_list in
+  let instance = instance rep ~reps in
   (* The bench/openproblems.ml acceptance pair: the odd witness where the
      ASYNC layer protocol deadlocks under every schedule, and C6 where it
      succeeds under every schedule. *)

@@ -1,5 +1,5 @@
 (* Thin main over Wb_bench.Explore_core (shared with `wbctl bench`):
-   sequential-vs-parallel exploration timings with the determinism check.
+   explore-vs-verify exploration timings with the determinism check.
    Writes BENCH_explore.json (or --out FILE). *)
 
 let () =

@@ -509,10 +509,9 @@ let explore_cmd =
       & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Split the schedule tree over N worker domains.  The verdict and \
-             execution count are identical to the sequential exploration; \
-             incompatible with --sample-trace (parallel workers interleave \
-             events with no meaningful order)")
+            "Split the walk over N worker domains.  Every printed count and the verdict are \
+             identical to --jobs 1; incompatible with --sample-trace and --no-dedup, which run \
+             the sequential reference explorer")
   in
   let trace_out_arg =
     Arg.(
@@ -521,17 +520,16 @@ let explore_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write a merged per-domain Chrome trace of the exploration to $(docv): each worker \
-             streams spans into its own flight-recorder ring, stitched into one Catapult file \
-             (routes through the parallel explorer even at --jobs 1)")
+             streams spans into its own flight-recorder ring, stitched into one Catapult file")
   in
   let no_dedup_arg =
     Arg.(
       value & flag
       & info [ "no-dedup" ]
           ~doc:
-            "Force plain schedule enumeration, bypassing canonical-state dedup and symmetry \
-             reduction even for protocols that declare them sound (the CI differential diffs \
-             this against the default path)")
+            "Run the sequential reference explorer: plain schedule enumeration, bypassing \
+             canonical-state dedup and symmetry reduction even for protocols that declare them \
+             sound (the CI differential diffs this against the default path)")
   in
   let quiet_arg =
     Arg.(
@@ -564,8 +562,9 @@ let explore_cmd =
           prerr_endline "wbctl: --jobs N must be positive";
           exit 1
         end;
-        if jobs > 1 && sample <> None then begin
-          prerr_endline "wbctl: --sample-trace requires a sequential exploration (drop --jobs)";
+        if jobs > 1 && (sample <> None || no_dedup) then begin
+          prerr_endline
+            "wbctl: --sample-trace and --no-dedup require a sequential exploration (drop --jobs)";
           exit 1
         end;
         if trace_out <> None && sample <> None then begin
@@ -590,10 +589,10 @@ let explore_cmd =
           | P.Engine.Success a -> P.Problems.valid_answer problem g a
           | _ -> false
         in
-        (* Tracing observes individual executions, so it routes through the
-           enumerative explorers; the canonical explorer visits each
-           configuration once and has no per-execution event stream. *)
-        let naive = no_dedup || sample <> None || Option.is_some shards in
+        (* --no-dedup and --sample-trace run the sequential reference
+           explorer, whose delta stream the sampler windows; everything else,
+           --trace included, runs the walker. *)
+        let naive = no_dedup || sample <> None in
         let print_stats () =
           if stats then begin
             let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
@@ -628,11 +627,11 @@ let explore_cmd =
           | _ -> ()
         in
         if naive then begin
-          let result =
-            if jobs > 1 || Option.is_some shards then
-              P.Engine.explore_par_packed ?shards ~jobs e.protocol g check
-            else P.Engine.explore_packed ?trace:sink e.protocol g check
+          let trace =
+            if Option.is_some sink then sink
+            else Option.map (fun a -> Obs.Trace.Ring.sink a.(0)) shards
           in
+          let result = P.Engine.explore_packed ?trace e.protocol g check in
           Option.iter Obs.Trace.close sink;
           Option.iter close_out oc;
           match result with
@@ -647,9 +646,9 @@ let explore_cmd =
             write_metrics_json metrics_json
         end
         else begin
-          match P.Engine.verify_packed ~jobs e.protocol g check with
+          match P.Engine.verify_packed ~jobs ?shards e.protocol g check with
           | Error (`Limit limit) ->
-            Printf.eprintf "wbctl: exploration exceeded the configuration limit (%d)\n" limit;
+            Printf.eprintf "wbctl: exploration exceeded its limit (%d)\n" limit;
             exit 2
           | Ok v ->
             Printf.printf "all valid: %b\n" v.P.Engine.valid;
@@ -661,6 +660,7 @@ let explore_cmd =
                   v.P.Engine.states v.P.Engine.finals v.P.Engine.dedup_hits
                   v.P.Engine.orbit_collapses v.P.Engine.group_order
               else Printf.printf "schedules explored: %d (no confluence promise)\n" v.P.Engine.finals;
+            finish_trace ();
             print_stats ();
             write_metrics_json metrics_json
         end)

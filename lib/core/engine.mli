@@ -3,21 +3,24 @@
     The operational semantics — rounds, activation, frozen vs synchronous
     composition, write candidates, deadlock — live in {!Machine}; this
     module adapts a {!Protocol.S} onto the kernel's hook signature and
-    provides the three in-process driving disciplines:
+    provides the in-process driving disciplines:
 
     - {!Make.run} — one execution under one {!Adversary.t};
-    - {!Make.explore} — depth-first enumeration of {e every} adversarial
-      schedule, backtracking over a single live machine;
-    - {!Make.explore_par} — the same enumeration split over multicore
-      workers ([Domain.spawn]) scheduled by per-domain work-stealing deques
-      ({!Wb_support.Deque}), with a verdict and execution count that are
-      deterministic in the number of workers;
-    - {!Make.verify} — canonical-state exploration: configuration dedup
-      ({!Machine.Make.digest} memoised in a lock-free {!Wb_support.Cset})
-      and symmetry reduction ({!Wb_graph.Auto}), sound under the protocol's
-      declared {!Protocol.Traits}, falling back to enumeration otherwise.
+    - {!Make.verify} — the exhaustive walker: every adversarial schedule,
+      over [jobs] multicore workers ([Domain.spawn]) scheduled by
+      per-domain work-stealing deques ({!Wb_support.Deque}).  {e Keyed}
+      when the protocol's {!Protocol.Traits} promise confluence on the
+      instance: configurations are merged by {!Machine.Make.digest} in a
+      lock-free {!Wb_support.Cset}, and a symmetry promise adds
+      stabilizer-orbit pruning ({!Wb_graph.Auto}).  {e Keyless} otherwise:
+      every complete execution is checked.  Every result field but
+      [steals] is independent of [jobs];
+    - {!Make.explore} — the sequential reference: depth-first enumeration
+      of every schedule, backtracking over a single live machine, with a
+      full event stream.  The differential suites compare {!Make.verify}
+      against it.
 
-    The networked referee ([Wb_net.Session]) is the fourth consumer of the
+    The networked referee ([Wb_net.Session]) is another consumer of the
     same kernel; it adds transport and fault handling but no semantics.
 
     {b Observability.}  With [?trace] attached the kernel emits the full
@@ -48,8 +51,9 @@ type run = Machine.run = {
   board : Board.t;
       (** The final whiteboard — what the networked referee serves and the
           differential checks compare.  In [run] this is the execution's own
-          board; in [explore] it aliases the {e live} backtracking board, so
-          it is only meaningful inside the check callback. *)
+          board; in [explore] and [verify] it aliases the {e live}
+          backtracking board, so it is only meaningful inside the check
+          callback. *)
 }
 
 val default_max_rounds : int -> int
@@ -74,18 +78,18 @@ val stats_equal : stats -> stats -> bool
 type verification = {
   valid : bool;  (** every checked execution passed. *)
   states : int;
-      (** distinct interior (choice-point) configurations claimed; [0] in
-          enumerative fallback mode. *)
+      (** distinct interior (choice-point) configurations claimed; [0] when
+          keyless. *)
   finals : int;
-      (** distinct final configurations checked (canonical mode) or complete
-          executions enumerated (fallback). *)
+      (** distinct final configurations checked (keyed) or complete
+          executions checked (keyless). *)
   dedup_hits : int;  (** schedule prefixes merged into already-visited configurations. *)
   orbit_collapses : int;  (** candidate writes pruned to symmetry-orbit representatives. *)
   steals : int;
       (** deque steals between workers — scheduling telemetry, the one field
           that legitimately varies with [jobs] and timing. *)
   group_order : int;  (** order of the automorphism group used; [1] when symmetry was off. *)
-  dedup : bool;  (** [false] iff the traits forced the enumerative fallback. *)
+  dedup : bool;  (** [true] iff the walk was keyed by configuration digests. *)
 }
 (** Result of {!Make.verify}.  All fields except [steals] are deterministic
     and independent of [jobs]. *)
@@ -115,7 +119,7 @@ module Make (P : Protocol.S) : sig
       of executions)], or [Error (`Limit limit)] when more than [limit]
       (default 10^6) executions would be visited.  Short-circuits on the
       first failing [check], so the count on a failing verdict depends on
-      schedule order ({!explore_par} never short-circuits).  [trace]
+      schedule order ({!verify} never short-circuits).  [trace]
       observes the depth-first event stream — shared schedule prefixes are
       {e not} replayed, so consecutive [Run_end] windows are deltas; wrap
       the sink in {!Wb_obs.Trace.sample} to keep every k-th window. *)
@@ -125,66 +129,59 @@ module Make (P : Protocol.S) : sig
   (** {!explore}, raising [Failure] on [`Limit] — for call sites that treat
       hitting the limit as a bug. *)
 
-  val explore_par :
-    ?limit:int ->
-    ?shards:Wb_obs.Trace.Ring.buffer array ->
-    jobs:int ->
-    Wb_graph.Graph.t ->
-    (run -> bool) ->
-    (bool * int, [ `Limit of int ]) result
-  (** {!explore} fanned out over [jobs] domains: the schedule tree is split
-      into pick-prefix work items (breadth-first, in the main domain), each
-      worker replays claimed prefixes on its own fresh machine and walks
-      the subtree exhaustively.  The verdict and the execution count are
-      independent of [jobs] because workers never short-circuit — on an
-      all-pass tree the count equals {!explore}'s; on a failing tree it is
-      the full tree size, where {!explore} stops early.  [check] runs
-      concurrently from several domains and must be domain-safe (the
-      differential predicates here are pure).
-
-      Instead of a shared [?trace] (interleaved worker events have no
-      meaningful order), [shards] gives each worker its own flight-recorder
-      ring: worker [k] streams into [shards.(k)] under a per-domain
-      ["worker"] root span (attr ["domain"]), with every replayed
-      execution's ["run"] span a child of it — stitch the shards into one
-      Catapult file with {!Wb_obs.Chrome.merge}.  The sequential
-      prefix-expansion phase is untraced (its completions belong to no
-      worker).  [Error (`Limit _)] is returned iff the tree exceeds
-      [limit], independent of [jobs].
-      @raise Invalid_argument when [jobs < 1] or when [shards] is given
-      with length [<> jobs]. *)
-
   val verify :
     ?limit:int ->
-    ?symmetry:bool ->
     ?jobs:int ->
+    ?shards:Wb_obs.Trace.Ring.buffer array ->
     Wb_graph.Graph.t ->
     (run -> bool) ->
     (verification, [ `Limit of int ]) result
-  (** Canonical exploration: enumerate {e configurations} instead of
-      schedules.  When the protocol's {!Protocol.Traits} declare confluence
-      on [g], schedule prefixes reaching the same {!Machine.Make.digest} are
-      merged through a shared lock-free visited table; when they further
-      declare a symmetry promise and [symmetry] is [true] (default), a
-      sequential first phase prunes candidate writes to stabilizer-orbit
-      representatives of [Aut(g)] (prefix lex-leader with explicit
-      stabilizer chains) before the remaining subtrees are fanned out over
-      [jobs] work-stealing workers.  Without a confluence promise on [g]
-      the call degrades to {!explore_par} and reports [dedup = false].
+  (** [verify g check] walks every adversarial schedule on [g] and calls
+      [check] on the complete executions.  One walker serves both modes:
 
-      [check] must be domain-safe, must factor through the configuration it
+      - {e keyed}, when the protocol's {!Protocol.Traits} declare
+        confluence on [g]: configurations are enumerated instead of
+        schedules — prefixes reaching the same {!Machine.Make.digest} merge
+        through a shared lock-free visited table, so [check] runs once per
+        distinct final configuration.  When the traits further declare a
+        symmetry promise, a sequential first phase in the calling domain
+        prunes candidate writes to stabilizer-orbit representatives of
+        [Aut(g)] (prefix lex-leader with explicit stabilizer chains);
+      - {e keyless} otherwise: nothing is merged, every complete execution
+        is checked, and the result reports [dedup = false], [states = 0]
+        and [finals] = the number of executions.  On an all-pass tree that
+        is {!explore}'s count; on a failing tree it is the full tree size,
+        where {!explore} stops early.
+
+      The remaining subtrees are fanned out over [jobs] (default [1])
+      workers, each driving one machine of its own from spilled pick
+      prefixes.  Neither mode short-circuits and a configuration is claimed
+      at discovery, so every result field except [steals] is independent
+      of [jobs].
+
+      [check] runs concurrently from several domains and must be
+      domain-safe; when keyed it must factor through the configuration it
       is given (two executions reaching the same final configuration get at
-      most one [check] call between them), and — when symmetry applies —
-      must be automorphism-invariant, which every graph-property
-      differential here is.
+      most one [check] call between them) and, when symmetry applies, be
+      automorphism-invariant — every graph-property differential here is.
+      An exception raised by [check] or a protocol hook stops every worker
+      and is re-raised in the caller.
 
-      [limit] (default [250_000]) bounds {e distinct configurations} in
-      canonical mode (executions in fallback mode); exceeding it returns
-      [Error (`Limit _)] deterministically.  All result fields except
-      [steals] are independent of [jobs]: a configuration is claimed at
-      discovery, so the claimed set is the reachability closure of the
-      pruned tree regardless of worker scheduling.
-      @raise Invalid_argument when [jobs < 1]. *)
+      [limit] (default [250_000]) bounds distinct configurations when
+      keyed and executions when keyless; exceeding it returns
+      [Error (`Limit _)] deterministically.
+
+      Instead of a shared trace (interleaved worker events have no
+      meaningful order), [shards] gives each worker its own flight-recorder
+      ring: worker [k] streams into [shards.(k)] under a per-domain
+      ["worker"] root span (attr ["domain"]) with its machine's ["run"] span
+      below it.  As in {!explore}, restores emit nothing, so each ring
+      holds a depth-first delta stream (plus the prefix replay of every
+      item the worker takes).  Stitch the shards into one
+      Catapult file with {!Wb_obs.Chrome.merge}.  The symmetry phase is
+      untraced (its configurations belong to no worker).
+      @raise Invalid_argument when [jobs < 1] or when [shards] is given
+      with length [<> jobs]. *)
 end
 
 val run_packed :
@@ -207,19 +204,10 @@ val explore_packed :
 val explore_packed_exn :
   ?limit:int -> ?trace:Wb_obs.Trace.t -> Protocol.t -> Wb_graph.Graph.t -> (run -> bool) -> bool * int
 
-val explore_par_packed :
-  ?limit:int ->
-  ?shards:Wb_obs.Trace.Ring.buffer array ->
-  jobs:int ->
-  Protocol.t ->
-  Wb_graph.Graph.t ->
-  (run -> bool) ->
-  (bool * int, [ `Limit of int ]) result
-
 val verify_packed :
   ?limit:int ->
-  ?symmetry:bool ->
   ?jobs:int ->
+  ?shards:Wb_obs.Trace.Ring.buffer array ->
   Protocol.t ->
   Wb_graph.Graph.t ->
   (run -> bool) ->

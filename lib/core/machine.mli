@@ -1,8 +1,9 @@
 (** The execution kernel: one step machine implementing the paper's round
     semantics, shared by every consumer — {!Engine.Make.run} (one adversary),
-    {!Engine.Make.explore} and [explore_par] (all adversaries, with
-    backtracking), and the networked referee ([Wb_net.Session]), which wraps
-    protocol hooks in RPCs and injects faults via {!Make.kill}.
+    {!Engine.Make.verify} and its sequential reference {!Engine.Make.explore}
+    (all adversaries, with backtracking), and the networked referee
+    ([Wb_net.Session]), which wraps protocol hooks in RPCs and injects
+    faults via {!Make.kill}.
 
     Operational semantics (one round):
     + nodes whose message appears on the board become terminated;

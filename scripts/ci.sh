@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full CI pipeline: build everything, run the unit/property suites, then
+# Full CI pipeline: build everything, run the unit/property suites (at the
+# pinned qcheck seed, then once at a rotating one), then
 # the end-to-end aliases (telemetry artifacts, networked sessions, the
 # parallel-vs-sequential exploration differential).  The aliases are
 # --force'd so the e2e paths re-run even on a warm _build.
@@ -9,6 +10,13 @@ cd "$(dirname "$0")/.."
 
 dune build
 dune runtest
+
+# The properties above ran at the pinned default seed (test/prop.ml).  One
+# more pass draws a fresh seed and prints it first, so a failure replays
+# with `QCHECK_SEED=<seed> dune runtest --force`.
+seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+echo "rotating qcheck seed: $seed"
+QCHECK_SEED=$seed dune runtest --force
 dune build @check-obs @check-net @check-par --force
 
 # Distributed tracing end to end: merged multi-process Chrome traces from

@@ -1,7 +1,5 @@
 open Wb_bignum
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let nat = Alcotest.testable (fun ppf v -> Nat.pp ppf v) Nat.equal
 
 let small_nat_gen = QCheck.map (fun v -> abs v) QCheck.int
@@ -9,32 +7,32 @@ let small_nat_gen = QCheck.map (fun v -> abs v) QCheck.int
 let nat_pair = QCheck.pair small_nat_gen small_nat_gen
 
 let nat_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"of_int/to_int roundtrip" ~count:500 small_nat_gen (fun v ->
            Nat.to_int_opt (Nat.of_int v) = Some v));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"add agrees with int" ~count:500
          QCheck.(pair (int_bound (1 lsl 40)) (int_bound (1 lsl 40)))
          (fun (a, b) -> Nat.to_int_opt (Nat.add (Nat.of_int a) (Nat.of_int b)) = Some (a + b)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"mul agrees with int" ~count:500
          QCheck.(pair (int_bound (1 lsl 30)) (int_bound (1 lsl 30)))
          (fun (a, b) -> Nat.to_int_opt (Nat.mul (Nat.of_int a) (Nat.of_int b)) = Some (a * b)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"sub inverts add" ~count:500 nat_pair (fun (a, b) ->
            let na = Nat.of_int a and nb = Nat.of_int b in
            Nat.equal (Nat.sub (Nat.add na nb) nb) na));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"divmod identity" ~count:500
          QCheck.(pair small_nat_gen (int_range 1 1_000_000))
          (fun (a, b) ->
            let q, r = Nat.divmod (Nat.of_int a) (Nat.of_int b) in
            Nat.compare r (Nat.of_int b) < 0
            && Nat.equal (Nat.add (Nat.mul q (Nat.of_int b)) r) (Nat.of_int a)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"string roundtrip" ~count:300 small_nat_gen (fun v ->
            Nat.equal (Nat.of_string (Nat.to_string (Nat.of_int v))) (Nat.of_int v)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"compare is total order consistent with int" ~count:500 nat_pair
          (fun (a, b) -> compare a b = Nat.compare (Nat.of_int a) (Nat.of_int b)));
     Alcotest.test_case "big multiplication cross-factorisations" `Quick (fun () ->
@@ -74,7 +72,7 @@ let nat_tests =
         Alcotest.(check int) "log2 (2^80 - 1)" 79 (Nat.log2_floor (Nat.sub (Nat.pow_int 2 80) Nat.one))) ]
 
 let zint_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"ring ops agree with int" ~count:1000
          QCheck.(pair (int_range (-1000000) 1000000) (int_range (-1000000) 1000000))
          (fun (a, b) ->

@@ -15,7 +15,6 @@ module C = Wb_chaos
 module R = Wb_protocols.Registry
 module J = Wb_obs.Json
 
-let qtest = QCheck_alcotest.to_alcotest
 let check = Alcotest.(check bool)
 
 (* ---- instances: one per model class ----------------------------------- *)
@@ -78,7 +77,7 @@ let gen_tests =
 let plan_of_seed seed = C.Gen.run ~seed C.Plan.gen
 
 let plan_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"random plans validate and JSON round-trip exactly" ~count:300
          (QCheck.make ~print:(fun s -> C.Plan.to_string (plan_of_seed s)) QCheck.Gen.(0 -- 100_000))
          (fun seed ->
@@ -172,7 +171,7 @@ let assert_no_mismatch ~ctx (report : C.Campaign.report) =
     report.C.Campaign.records
 
 let differential_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make
          ~name:"faulted runs land in engine-reachable configurations (all models, random plans)"
          ~count:60

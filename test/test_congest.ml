@@ -1,19 +1,17 @@
 module G = Wb_graph
 module Prng = Wb_support.Prng
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let bfs_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"flood BFS matches reference distances" ~count:60
          QCheck.(pair small_int (int_range 1 40))
          (fun (seed, n) ->
            let g = G.Gen.random_connected (Prng.create seed) n 0.1 in
            let r = Wb_congest.Bfs_flood.run g in
            r.Wb_congest.Bfs_flood.dist = G.Algo.bfs_dist g 0));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"parents form a valid BFS tree" ~count:60 QCheck.small_int
          (fun seed ->
            let g = G.Gen.random_connected (Prng.create seed) 25 0.12 in
@@ -49,7 +47,7 @@ let bfs_tests =
         check "whiteboard cheaper" true (run.Wb_model.Engine.stats.total_bits < congest_bits)) ]
 
 let luby_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"luby outputs a maximal independent set" ~count:80
          QCheck.(pair small_int (int_range 1 40))
          (fun (seed, n) ->

@@ -18,8 +18,6 @@ module Counting = Wb_reductions.Counting
 
 let check msg = Alcotest.(check bool) msg true
 
-let qtest t = QCheck_alcotest.to_alcotest t
-
 let with_cost f =
   Cost.enable ();
   Fun.protect ~finally:Cost.disable f
@@ -133,7 +131,7 @@ let engine_cross_check key g =
     (Obs.Metrics.counter_value c_writes - w0)
 
 let reconciliation_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~count:15
          ~name:"ledger equals engine stats across all four models"
          (QCheck.make

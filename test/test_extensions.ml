@@ -7,8 +7,6 @@ open Wb_model
 module G = Wb_graph
 module Prng = Wb_support.Prng
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let seeded = QCheck.small_int
@@ -19,18 +17,18 @@ let split_degeneracy_tests =
         Alcotest.(check int) "empty graph" 0 (G.Algo.split_degeneracy (G.Graph.empty 6));
         Alcotest.(check int) "path" 1 (G.Algo.split_degeneracy (G.Gen.path 8));
         Alcotest.(check int) "C5" 2 (G.Algo.split_degeneracy (G.Gen.cycle 5)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"at most ordinary degeneracy" ~count:150 seeded (fun seed ->
            let g = G.Gen.random_gnp (Prng.create seed) 16 0.4 in
            G.Algo.split_degeneracy g <= fst (G.Algo.degeneracy g)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"complement-invariant-ish: complement of k-degenerate is small"
          ~count:80 seeded (fun seed ->
            (* the complement of a k-degenerate graph is in the class with
               the same k: dense prunes mirror sparse ones *)
            let g = G.Gen.random_kdegenerate (Prng.create seed) 14 ~k:2 in
            G.Algo.split_degeneracy (G.Graph.complement g) <= 2));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"generator respects the bound" ~count:100
          QCheck.(pair seeded (int_range 0 3))
          (fun (seed, k) ->
@@ -43,7 +41,7 @@ let build_split_tests =
     let run = Engine.run_packed p g (Adversary.random (Prng.create seed)) in
     run.Engine.outcome = Engine.Success (Answer.Graph g)
   in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"reconstructs the generated class" ~count:80
          QCheck.(pair seeded (int_range 1 3))
          (fun (seed, k) ->
@@ -53,11 +51,11 @@ let build_split_tests =
         List.iter
           (fun n -> check (Printf.sprintf "K%d" n) true (build_ok (protocol 1) (G.Gen.complete n) n))
           [ 2; 5; 9; 17 ]);
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"complements of k-degenerate graphs" ~count:50 seeded (fun seed ->
            let g = G.Graph.complement (G.Gen.random_kdegenerate (Prng.create seed) 16 ~k:2) in
            build_ok (protocol 2) g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"also covers plain k-degenerate inputs" ~count:50 seeded
          (fun seed ->
            let g = G.Gen.random_kdegenerate (Prng.create seed) 16 ~k:2 in
@@ -76,7 +74,7 @@ let build_split_tests =
         Alcotest.(check int) "4!" 24 count) ]
 
 let derived_problem_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"has_square agrees with brute force" ~count:150 seeded (fun seed ->
            let g = G.Gen.random_gnp (Prng.create seed) 9 0.3 in
            let m = G.Graph.adjacency_matrix g in
@@ -99,14 +97,14 @@ let derived_problem_tests =
         check "triangle" false (G.Algo.has_square (G.Gen.cycle 3));
         check "tree" false (G.Algo.has_square (G.Gen.random_tree (Prng.create 3) 20));
         check "petersen (girth 5)" false (G.Algo.has_square (G.Gen.petersen ())));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"SQUARE via BUILD on Apollonian promise" ~count:30 seeded
          (fun seed ->
            let g = G.Gen.apollonian (Prng.create seed) 18 in
            let p = Wb_protocols.Via_build.protocol ~k:3 Problems.Square in
            let run = Engine.run_packed p g (Adversary.random (Prng.create (seed + 1))) in
            run.Engine.outcome = Engine.Success (Answer.Bool (G.Algo.has_square g))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"DIAMETER<=3 via BUILD on trees" ~count:40 seeded (fun seed ->
            let g = G.Gen.random_tree (Prng.create seed) 14 in
            let p = Wb_protocols.Via_build.protocol ~k:1 (Problems.Diameter_at_most 3) in
@@ -121,7 +119,7 @@ let derived_problem_tests =
           (Problems.reference (Problems.Diameter_at_most 2) (G.Gen.star 9) = Answer.Bool true)) ]
 
 let spanning_forest_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"SYNC spanning forest valid on gnp" ~count:80
          QCheck.(pair seeded (int_range 1 30))
          (fun (seed, n) ->
@@ -146,7 +144,7 @@ let spanning_forest_tests =
           (Problems.valid_answer Problems.Spanning_forest g (Answer.Edge_set [ (0, 1) ]))) ]
 
 let sketch_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"sketch connectivity correct (fixed public coins)" ~count:60
          QCheck.(pair seeded (int_range 2 30))
          (fun (seed, n) ->
@@ -154,7 +152,7 @@ let sketch_tests =
            let p = Wb_protocols.Sketch_connectivity.connectivity ~seed:271828 in
            let run = Engine.run_packed p g (Adversary.random (Prng.create (seed + 1))) in
            run.Engine.outcome = Engine.Success (Answer.Bool (G.Algo.is_connected g))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"sketch spanning forest valid" ~count:40
          QCheck.(pair seeded (int_range 2 24))
          (fun (seed, n) ->
@@ -185,7 +183,7 @@ let sketch_tests =
         check "n=2 isolated" true (run2.Engine.outcome = Engine.Success (Answer.Bool false))) ]
 
 let workload_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"preferential attachment: connected, degeneracy <= m" ~count:60
          QCheck.(pair seeded (int_range 1 4))
          (fun (seed, m) ->

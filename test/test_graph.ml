@@ -1,8 +1,6 @@
 open Wb_graph
 module Prng = Wb_support.Prng
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let seeded = QCheck.small_int
@@ -19,7 +17,7 @@ let graph_tests =
     Alcotest.test_case "matrix roundtrip" `Quick (fun () ->
         let g = Gen.petersen () in
         check "equal" true (Graph.equal g (Graph.of_matrix (Graph.adjacency_matrix g))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"relabel preserves degree multiset" ~count:200 seeded (fun seed ->
            let rng = Prng.create seed in
            let g = Gen.random_gnp rng 20 0.3 in
@@ -27,7 +25,7 @@ let graph_tests =
            let h = Graph.relabel g p in
            let degs gr = List.sort compare (List.init 20 (Graph.degree gr)) in
            degs g = degs h && Graph.num_edges g = Graph.num_edges h));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"complement involutive" ~count:100 seeded (fun seed ->
            let g = Gen.random_gnp (Prng.create seed) 12 0.5 in
            Graph.equal g (Graph.complement (Graph.complement g))));
@@ -65,46 +63,46 @@ let gen_tests =
         Alcotest.(check int) "grid 3x4 edges" 17 (Graph.num_edges (Gen.grid 3 4));
         Alcotest.(check int) "Q3 edges" 12 (Graph.num_edges (Gen.hypercube 3));
         Alcotest.(check int) "petersen edges" 15 (Graph.num_edges (Gen.petersen ())));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"random_tree is a tree" ~count:200
          QCheck.(pair seeded (int_range 1 60))
          (fun (seed, n) ->
            let t = Gen.random_tree (Prng.create seed) n in
            Graph.num_edges t = n - 1 && Algo.is_connected t));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"random_forest is acyclic" ~count:200
          QCheck.(pair seeded (int_range 1 60))
          (fun (seed, n) ->
            let f = Gen.random_forest (Prng.create seed) n ~keep:0.6 in
            fst (Algo.degeneracy f) <= 1));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"ktree: degeneracy exactly k" ~count:100
          QCheck.(pair seeded (int_range 1 4))
          (fun (seed, k) ->
            let g = Gen.random_ktree (Prng.create seed) (k + 8) ~k in
            fst (Algo.degeneracy g) = k));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"kdegenerate: degeneracy at most k" ~count:100
          QCheck.(pair seeded (int_range 0 5))
          (fun (seed, k) ->
            let g = Gen.random_kdegenerate (Prng.create seed) 30 ~k in
            fst (Algo.degeneracy g) <= k));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"apollonian: planar-style counts, 3-degenerate" ~count:100 seeded
          (fun seed ->
            let g = Gen.apollonian (Prng.create seed) 20 in
            Graph.num_edges g = (3 * 20) - 6 && fst (Algo.degeneracy g) = 3 && Algo.is_connected g));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"random_eob is even-odd bipartite" ~count:100 seeded (fun seed ->
            Algo.is_even_odd_bipartite (Gen.random_eob (Prng.create seed) 21 0.4)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"random_bipartite is bipartite" ~count:100 seeded (fun seed ->
            Algo.bipartition (Gen.random_bipartite (Prng.create seed) 7 9 0.4) <> None));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"random_gnm has exactly m edges" ~count:100
          QCheck.(pair seeded (int_range 0 45))
          (fun (seed, m) -> Graph.num_edges (Gen.random_gnm (Prng.create seed) 10 m) = m));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"random_connected connects" ~count:100 seeded (fun seed ->
            Algo.is_connected (Gen.random_connected (Prng.create seed) 40 0.02)));
     Alcotest.test_case "two-cliques family" `Quick (fun () ->
@@ -115,7 +113,7 @@ let gen_tests =
         check "near is not" false (Algo.is_two_cliques h);
         Alcotest.(check (option int)) "near regular too" (Some 5) (Graph.is_regular h);
         check "near connected" true (Algo.is_connected h));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"two_cliques_shuffled keeps the property" ~count:50 seeded
          (fun seed -> Algo.is_two_cliques (Gen.two_cliques_shuffled (Prng.create seed) 5)));
     Alcotest.test_case "triangle_with_tail" `Quick (fun () ->
@@ -128,14 +126,14 @@ let gen_tests =
         Alcotest.(check int) "n=4 connected" 38 (List.length (Gen.all_connected_graphs 4))) ]
 
 let algo_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"bfs_dist is a metric layer function" ~count:100 seeded (fun seed ->
            let g = Gen.random_connected (Prng.create seed) 25 0.1 in
            let d = Algo.bfs_dist g 0 in
            d.(0) = 0
            && List.for_all (fun (u, v) -> abs (d.(u) - d.(v)) <= 1) (Graph.edges g)
            && Array.for_all (fun x -> x >= 0) d));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"bfs_forest validates" ~count:100 seeded (fun seed ->
            let g = Gen.random_gnp (Prng.create seed) 20 0.1 in
            Algo.is_valid_bfs_forest g (Algo.bfs_forest g)));
@@ -158,7 +156,7 @@ let algo_tests =
         Alcotest.(check int) "K6" 5 (fst (Algo.degeneracy (Gen.complete 6)));
         Alcotest.(check int) "K33" 3 (fst (Algo.degeneracy (Gen.complete_bipartite 3 3)));
         Alcotest.(check int) "empty" 0 (fst (Algo.degeneracy (Graph.empty 5))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"degeneracy order witnesses the value" ~count:100 seeded (fun seed ->
            let g = Gen.random_gnp (Prng.create seed) 18 0.3 in
            let k, order = Algo.degeneracy g in
@@ -172,7 +170,7 @@ let algo_tests =
                removed.(v) <- true)
              order;
            !ok));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"triangle detection agrees with matrix check" ~count:200 seeded
          (fun seed ->
            let g = Gen.random_gnp (Prng.create seed) 12 0.25 in
@@ -186,7 +184,7 @@ let algo_tests =
              done
            done;
            Algo.has_triangle g = !naive));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"count_triangles agrees with brute force" ~count:100 seeded
          (fun seed ->
            let g = Gen.random_gnp (Prng.create seed) 10 0.4 in
@@ -200,7 +198,7 @@ let algo_tests =
              done
            done;
            Algo.count_triangles g = !naive));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"greedy_mis is a rooted MIS" ~count:200
          QCheck.(pair seeded (int_range 0 14))
          (fun (seed, root) ->
@@ -218,14 +216,14 @@ let algo_tests =
         Alcotest.(check int) "petersen" 2 (Algo.diameter (Gen.petersen ()));
         Alcotest.check_raises "disconnected" (Invalid_argument "Algo.diameter: disconnected")
           (fun () -> ignore (Algo.diameter (Graph.empty 2))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"spanning forest has n - #components edges" ~count:100 seeded
          (fun seed ->
            let g = Gen.random_gnp (Prng.create seed) 20 0.08 in
            List.length (Algo.spanning_forest g) = 20 - Algo.num_components g)) ]
 
 let codec_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"prufer roundtrip" ~count:200
          QCheck.(pair seeded (int_range 2 40))
          (fun (seed, n) ->
@@ -234,7 +232,7 @@ let codec_tests =
     Alcotest.test_case "prufer rejects non-trees" `Quick (fun () ->
         Alcotest.check_raises "cycle" (Invalid_argument "Prufer.encode: not a tree") (fun () ->
             ignore (Prufer.encode (Gen.cycle 4))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"graph6 roundtrip" ~count:200
          QCheck.(pair seeded (int_range 0 70))
          (fun (seed, n) ->
@@ -293,7 +291,7 @@ let auto_tests =
           let o = Auto.orbits ~n:4 a in
           check "star orbits: centre alone, leaves together" true
             (o.(0) = 0 && o.(1) = 1 && o.(2) = 1 && o.(3) = 1));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"every reported element preserves edges" ~count:60
          QCheck.(pair seeded (int_range 2 7))
          (fun (seed, n) ->

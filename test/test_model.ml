@@ -221,24 +221,24 @@ let explore_tests =
         | Error (`Limit 10) -> ()
         | Error (`Limit l) -> Alcotest.failf "wrong limit payload: %d" l
         | Ok _ -> Alcotest.fail "expected Error (`Limit _)");
-        (match E.explore_par ~limit:10 ~jobs:2 (G.Gen.complete 5) (fun _ -> true) with
+        (match E.verify ~limit:10 ~jobs:2 (G.Gen.complete 5) (fun _ -> true) with
         | Error (`Limit 10) -> ()
         | Error (`Limit l) -> Alcotest.failf "wrong parallel limit payload: %d" l
         | Ok _ -> Alcotest.fail "expected parallel Error (`Limit _)");
         Alcotest.check_raises "exn variant" (Failure "Engine.explore: execution limit exceeded")
           (fun () -> ignore (E.explore_exn ~limit:10 (G.Gen.complete 5) (fun _ -> true)))) ]
 
-let explore_par_tests =
+let verify_keyless_tests =
   let arb_instance =
     QCheck.make
       ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
       QCheck.Gen.(pair (2 -- 5) (0 -- 9999))
   in
   let models = [ Model.Sim_async; Model.Sim_sync; Model.Async; Model.Sync ] in
-  (* The parallel explorer must agree with the sequential one on the verdict
-     always, and on the execution count whenever the verdict is true (on a
-     failing verdict the sequential explorer short-circuits, so its count is
-     order-dependent by design). *)
+  (* On an opaque protocol the walker is keyless: it must agree with the
+     reference explorer on the verdict always, and on the execution count
+     whenever the verdict is true (on a failing verdict the reference
+     short-circuits, so its count is order-dependent by design). *)
   let agree (n, seed) =
     List.for_all
       (fun model ->
@@ -251,39 +251,50 @@ let explore_par_tests =
         let g = G.Gen.random_gnp (Wb_support.Prng.create seed) n 0.5 in
         let pass r = Engine.succeeded r in
         let counts_agree =
-          match (E.explore g pass, E.explore_par ~jobs:4 g pass) with
-          | Ok (ok_s, count_s), Ok (ok_p, count_p) ->
-            ok_s = ok_p && ((not ok_s) || count_s = count_p)
+          match (E.explore g pass, E.verify ~jobs:4 g pass) with
+          | Ok (ok_s, count_s), Ok v ->
+            ok_s = v.Engine.valid && ((not ok_s) || count_s = v.Engine.finals)
           | Error (`Limit _), Error (`Limit _) -> true
           | Ok _, Error _ | Error _, Ok _ -> false
         in
         let fail r = Array.length r.Engine.writes > 0 && r.Engine.writes.(0) = 0 in
         let verdicts_agree =
-          match (E.explore g fail, E.explore_par ~jobs:3 g fail) with
-          | Ok (ok_s, _), Ok (ok_p, _) -> ok_s = ok_p
+          match (E.explore g fail, E.verify ~jobs:3 g fail) with
+          | Ok (ok_s, _), Ok v -> ok_s = v.Engine.valid
           | Error (`Limit _), Error (`Limit _) -> true
           | Ok _, Error _ | Error _, Ok _ -> false
         in
         counts_agree && verdicts_agree)
       models
   in
-  [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"explore_par agrees with explore across all four models" ~count:20
-         arb_instance agree);
-    Alcotest.test_case "explore_par count and verdict are independent of jobs" `Quick (fun () ->
-        let module P = Probe (struct
-          let model = Model.Sim_async
+  let module K = Probe (struct
+    let model = Model.Sim_async
 
-          let activate_when _ _ = true
-        end) in
-        let module E = Engine.Make (P) in
-        let seq = E.explore_exn (G.Gen.complete 5) (fun _ -> true) in
+    let activate_when _ _ = true
+  end) in
+  let module EK = Engine.Make (K) in
+  [ Prop.qtest
+      (QCheck.Test.make ~name:"keyless verify agrees with explore across all four models"
+         ~count:20 arb_instance agree);
+    Alcotest.test_case "keyless verify count and verdict are independent of jobs" `Quick
+      (fun () ->
+        let seq = EK.explore_exn (G.Gen.complete 5) (fun _ -> true) in
+        Alcotest.(check (pair bool int)) "reference" (true, 120) seq;
         List.iter
           (fun jobs ->
-            match E.explore_par ~jobs (G.Gen.complete 5) (fun _ -> true) with
-            | Ok par -> Alcotest.(check (pair bool int)) (Printf.sprintf "jobs=%d" jobs) seq par
+            match EK.verify ~jobs (G.Gen.complete 5) (fun _ -> true) with
+            | Ok v ->
+              Alcotest.(check (pair bool int))
+                (Printf.sprintf "jobs=%d" jobs) seq (v.Engine.valid, v.Engine.finals);
+              check "keyless" false v.Engine.dedup;
+              Alcotest.(check int) "no states" 0 v.Engine.states
             | Error (`Limit _) -> Alcotest.fail "unexpected limit")
-          [ 1; 2; 4 ]) ]
+          [ 1; 2; 4 ]);
+    Alcotest.test_case "a raising check stops every worker and re-raises" `Quick (fun () ->
+        let calls = Atomic.make 0 in
+        let raising _ = if Atomic.fetch_and_add calls 1 = 6 then failwith "seventh final" else true in
+        Alcotest.check_raises "re-raised" (Failure "seventh final") (fun () ->
+            ignore (EK.verify ~jobs:2 (G.Gen.complete 5) raising))) ]
 
 let board_tests =
   [ Alcotest.test_case "append/find/truncate/generation" `Quick (fun () ->
@@ -478,7 +489,7 @@ let verify_tests =
       ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
       QCheck.Gen.(pair (2 -- 5) (0 -- 9999))
   in
-  [ QCheck_alcotest.to_alcotest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"verify agrees with explore on random graphs" ~count:15 arb_instance
          (fun (n, seed) ->
            let g = G.Gen.random_gnp (Wb_support.Prng.create seed) n 0.5 in
@@ -503,30 +514,66 @@ let verify_tests =
                  QCheck.Test.fail_reportf "%s: limit behaviour diverged" name)
              protocols));
     Alcotest.test_case "verify is jobs-independent (steals aside)" `Quick (fun () ->
+        let strip (v : Engine.verification) = { v with Engine.steals = 0 } in
+        let across_jobs name protocol g chk =
+          match Engine.verify_packed ~jobs:1 protocol g chk with
+          | Error (`Limit _) -> Alcotest.fail "unexpected limit"
+          | Ok v1 ->
+            List.iter
+              (fun jobs ->
+                match Engine.verify_packed ~jobs protocol g chk with
+                | Error (`Limit _) -> Alcotest.fail "unexpected limit"
+                | Ok v -> check (Printf.sprintf "%s jobs=%d" name jobs) true (strip v = strip v1))
+              [ 2; 3 ];
+            v1
+        in
         let g = G.Gen.complete 6 in
         let chk (r : Engine.run) =
           match r.Engine.outcome with
           | Engine.Success a -> Problems.valid_answer Problems.Build g a
           | _ -> false
         in
-        let strip (v : Engine.verification) = { v with Engine.steals = 0 } in
-        match Engine.verify_packed ~jobs:1 Wb_protocols.Build_naive.protocol g chk with
-        | Error (`Limit _) -> Alcotest.fail "unexpected limit"
-        | Ok v1 ->
-          check "dedup ran" true v1.Engine.dedup;
-          check "nonzero symmetry" true (v1.Engine.group_order > 1);
-          List.iter
-            (fun jobs ->
-              match Engine.verify_packed ~jobs Wb_protocols.Build_naive.protocol g chk with
-              | Error (`Limit _) -> Alcotest.fail "unexpected limit"
-              | Ok v -> check (Printf.sprintf "jobs=%d" jobs) true (strip v = strip v1))
-            [ 2; 3 ]);
+        let v1 = across_jobs "keyed" Wb_protocols.Build_naive.protocol g chk in
+        check "dedup ran" true v1.Engine.dedup;
+        check "nonzero symmetry" true (v1.Engine.group_order > 1);
+        (* Keyless, on a failing check: the walk must still cover the whole
+           tree at every jobs. *)
+        let module P = Probe (struct
+          let model = Model.Sim_async
+
+          let activate_when _ _ = true
+        end) in
+        let first_writer_zero (r : Engine.run) = r.Engine.writes.(0) = 0 in
+        let v1 = across_jobs "keyless" (module P : Protocol.S) (G.Gen.complete 5) first_writer_zero in
+        check "keyless" false v1.Engine.dedup;
+        check "failing verdict" false v1.Engine.valid;
+        Alcotest.(check int) "whole tree" 120 v1.Engine.finals);
     Alcotest.test_case "verify limit is a typed error" `Quick (fun () ->
         let g = G.Gen.complete 6 in
         match Engine.verify_packed ~limit:3 Wb_protocols.Build_naive.protocol g (fun _ -> true)
         with
         | Error (`Limit _) -> ()
         | Ok _ -> Alcotest.fail "expected Error (`Limit _)");
+    Alcotest.test_case "single-candidate chain completes at every jobs" `Quick (fun () ->
+        (* Node i activates once i messages are on the board, so every
+           choice has exactly one candidate and the tree is one n-pick
+           execution — the shape that once made a depth-capped prefix
+           expansion hand a finished execution to a worker. *)
+        let module P = Probe (struct
+          let model = Model.Async
+
+          let activate_when view board = Board.length board >= View.id view
+        end) in
+        let module E = Engine.Make (P) in
+        List.iter
+          (fun jobs ->
+            match E.verify ~jobs (G.Gen.complete 8) (fun _ -> true) with
+            | Ok v ->
+              check (Printf.sprintf "jobs=%d valid" jobs) true v.Engine.valid;
+              check "keyless" false v.Engine.dedup;
+              Alcotest.(check int) (Printf.sprintf "jobs=%d finals" jobs) 1 v.Engine.finals
+            | Error (`Limit _) -> Alcotest.fail "unexpected limit")
+          [ 1; 2 ]);
     Alcotest.test_case "opaque protocols fall back to enumeration" `Quick (fun () ->
         let module P = Probe (struct
           let model = Model.Sim_async
@@ -548,7 +595,7 @@ let suites =
   [ ("model.message-timing", message_timing_tests);
     ("model.lifecycle", lifecycle_tests);
     ("model.explore", explore_tests);
-    ("model.explore-par", explore_par_tests);
+    ("model.verify-keyless", verify_keyless_tests);
     ("model.digest", digest_tests);
     ("model.verify", verify_tests);
     ("model.board", board_tests);

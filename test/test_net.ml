@@ -14,7 +14,6 @@ module Net = Wb_net
 module Wire = Wb_net.Wire
 module R = Wb_protocols.Registry
 
-let qtest = QCheck_alcotest.to_alcotest
 let check = Alcotest.(check bool)
 
 let bound_of protocol ~n =
@@ -205,20 +204,20 @@ let typed_error_only s =
   match Wire.decode s with Ok _ -> false | Error _ -> true | exception _ -> false
 
 let wire_prop_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"random frames round-trip exactly" ~count:300 frame_arb
          (fun f -> Wire.decode (Wire.encode f) = Ok f));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"every strict prefix is a typed error, never an exception"
          ~count:200 frame_and_index (fun (f, i) ->
            let s = Wire.encode f in
            typed_error_only (String.sub s 0 (i mod String.length s))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"any single flipped bit is a typed error, never an exception"
          ~count:400 frame_and_index (fun (f, i) ->
            let s = Wire.encode f in
            typed_error_only (flip_bit s (i mod (String.length s * 8)))));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"arbitrary bytes never raise" ~count:300
          QCheck.(string_gen QCheck.Gen.(map Char.chr (0 -- 255)))
          (fun junk ->
@@ -232,7 +231,7 @@ let wire_prop_tests =
        typed error.  (The version byte itself is deliberately excluded: it
        sits outside the checksum and a 2->1 flip is a downgrade, not
        detectable corruption.) *)
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"arbitrary multi-byte flips are typed errors, never exceptions"
          ~count:400
          (QCheck.make
@@ -323,14 +322,14 @@ let frame_and_ctx =
     QCheck.Gen.(pair gen_frame gen_ctx)
 
 let ctx_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"a trace context rides any frame and round-trips exactly"
          ~count:300 frame_and_ctx (fun (f, ctx) ->
            Wire.decode_ctx (Wire.encode ~ctx f) = Ok (f, Some ctx)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"frames encoded without a context decode to none" ~count:200
          frame_arb (fun f -> Wire.decode_ctx (Wire.encode f) = Ok (f, None)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"version-1 encodings still decode, and never carry a context"
          ~count:200 frame_arb (fun f ->
            match f with
@@ -339,7 +338,7 @@ let ctx_tests =
              (* v2-only opcodes have no v1 encoding at all *)
              (match Wire.encode_v1 f with exception Invalid_argument _ -> true | _ -> false)
            | _ -> Wire.decode_ctx (Wire.encode_v1 f) = Ok (f, None)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make
          ~name:"every strict prefix of a context-carrying frame is a typed error" ~count:200
          (QCheck.make
@@ -497,7 +496,7 @@ let loopback_tests =
           (G.Gen.random_connected (Prng.create 20) 12 0.25);
         differential "build-naive" ~adv:(fun () -> Adversary.random (Prng.create 23))
           (G.Gen.random_gnp (Prng.create 22) 12 0.3));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"loopback differential on random graphs across all four models"
          ~count:10
          (QCheck.make

@@ -11,7 +11,6 @@ module Obs = Wb_obs
 module J = Obs.Json
 module E = Obs.Event
 
-let qtest = QCheck_alcotest.to_alcotest
 let check = Alcotest.(check bool)
 
 (* --- JSON ------------------------------------------------------------- *)
@@ -583,7 +582,7 @@ let compose_matches_trace protocol g adversary =
   (run, run.Engine.compose_count = from_trace)
 
 let compose_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"frozen models compose exactly once per activated node"
          ~count:40
          QCheck.(pair small_int small_int)
@@ -600,7 +599,7 @@ let compose_tests =
            && Array.for_all2
                 (fun c a -> c = if a >= 0 then 1 else 0)
                 run.Engine.compose_count run.Engine.activation_round));
-    qtest
+    Prop.qtest
       (QCheck.Test.make
          ~name:"sync models: compose count = rounds spent as a write candidate" ~count:40
          QCheck.(pair small_int small_int)

@@ -11,8 +11,6 @@ module J = Wb_obs.Json
 
 let check msg = Alcotest.(check bool) msg true
 
-let qtest t = QCheck_alcotest.to_alcotest t
-
 let histograms () =
   match J.member "histograms" (M.dump_json ()) with
   | Some (J.Obj kvs) -> List.map fst kvs
@@ -204,7 +202,7 @@ let om_tests =
         match M.Openmetrics.validate (M.dump_openmetrics ()) with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "registry exposition rejected: %s" msg);
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~count:300
          ~name:"arbitrary names and help strings always render a valid exposition"
          (QCheck.make

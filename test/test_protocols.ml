@@ -2,8 +2,6 @@ open Wb_model
 module G = Wb_graph
 module Prng = Wb_support.Prng
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let seeded = QCheck.small_int
@@ -43,7 +41,7 @@ let stress_adversaries protocol problem g =
     strategies
 
 let decode_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"Wright: power sums determine the subset (backtracking)" ~count:300
          QCheck.(triple seeded (int_range 1 5) (int_range 10 60))
          (fun (seed, k, n) ->
@@ -54,7 +52,7 @@ let decode_tests =
            in
            let sums = Wb_protocols.Decode.power_sums ~k ids in
            Wb_protocols.Decode.decode_backtracking ~n ~d sums = Some ids));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"lookup table decoder agrees" ~count:100
          QCheck.(pair seeded (int_range 1 3))
          (fun (seed, k) ->
@@ -83,13 +81,13 @@ let decode_tests =
             ignore (Wb_protocols.Decode.subtract_member sums 5))) ]
 
 let build_forest_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"reconstructs random trees" ~count:100
          QCheck.(pair seeded (int_range 1 80))
          (fun (seed, n) ->
            let g = G.Gen.random_tree (Prng.create seed) n in
            run_valid Wb_protocols.Build_forest.protocol Problems.Build g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"reconstructs random forests" ~count:100
          QCheck.(pair seeded (int_range 1 60))
          (fun (seed, n) ->
@@ -98,7 +96,7 @@ let build_forest_tests =
     Alcotest.test_case "exhaustive schedules on a small forest" `Quick (fun () ->
         let g = G.Graph.of_edges 5 [ (0, 3); (3, 1) ] in
         check "all schedules" true (explore_valid Wb_protocols.Build_forest.protocol Problems.Build g));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"rejects graphs with cycles" ~count:100
          QCheck.(pair seeded (int_range 3 40))
          (fun (seed, n) ->
@@ -120,23 +118,23 @@ let build_forest_tests =
 
 let build_degenerate_tests =
   let protocol k = Wb_protocols.Build_degenerate.protocol ~k ~decoder:`Backtracking in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"reconstructs k-trees (k=1..4)" ~count:60
          QCheck.(pair seeded (int_range 1 4))
          (fun (seed, k) ->
            let g = G.Gen.random_ktree (Prng.create seed) (k + 12) ~k in
            run_valid (protocol k) Problems.Build g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"reconstructs random k-degenerate graphs" ~count:60
          QCheck.(pair seeded (int_range 1 5))
          (fun (seed, k) ->
            let g = G.Gen.random_kdegenerate (Prng.create seed) 25 ~k in
            run_valid (protocol k) Problems.Build g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"planar Apollonian graphs via k=3" ~count:40 seeded (fun seed ->
            let g = G.Gen.apollonian (Prng.create seed) 24 in
            run_valid (protocol 3) Problems.Build g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"table decoder gives identical runs" ~count:30 seeded (fun seed ->
            let g = G.Gen.random_ktree (Prng.create seed) 12 ~k:2 in
            run_valid (Wb_protocols.Build_degenerate.protocol ~k:2 ~decoder:`Table) Problems.Build g
@@ -144,7 +142,7 @@ let build_degenerate_tests =
     Alcotest.test_case "rejects too-dense graphs (K6 with k=3)" `Quick (fun () ->
         let run = Engine.run_packed (protocol 3) (G.Gen.complete 6) Adversary.min_id in
         check "reject" true (run.Engine.outcome = Engine.Success Answer.Reject));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"robust recognition: accepts iff degeneracy <= k" ~count:80
          QCheck.(pair seeded (int_range 1 3))
          (fun (seed, k) ->
@@ -169,7 +167,7 @@ let build_degenerate_tests =
 
 let mis_tests =
   let protocol root = Wb_protocols.Mis_simsync.protocol ~root in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"valid rooted MIS on gnp under random schedules" ~count:150
          QCheck.(triple seeded (int_range 0 19) (int_range 0 100))
          (fun (seed, root, p100) ->
@@ -192,13 +190,13 @@ let mis_tests =
 
 let two_cliques_tests =
   let protocol = Wb_protocols.Two_cliques_simsync.protocol in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"yes on shuffled two-cliques" ~count:80
          QCheck.(pair seeded (int_range 2 12))
          (fun (seed, half) ->
            let g = G.Gen.two_cliques_shuffled (Prng.create seed) half in
            run_valid protocol Problems.Two_cliques g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"no on K_{h,h} minus matching" ~count:40
          QCheck.(pair seeded (int_range 2 12))
          (fun (seed, half) ->
@@ -218,13 +216,13 @@ let two_cliques_tests =
 
 let bfs_layer_tests =
   let bfs = Wb_protocols.Bfs_sync.protocol in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"SYNC BFS valid on connected gnp" ~count:100
          QCheck.(pair seeded (int_range 2 40))
          (fun (seed, n) ->
            let g = G.Gen.random_connected (Prng.create seed) n 0.1 in
            run_valid bfs Problems.Bfs g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"SYNC BFS valid on disconnected gnp" ~count:100
          QCheck.(pair seeded (int_range 2 30))
          (fun (seed, n) ->
@@ -256,13 +254,13 @@ let bfs_layer_tests =
 
 let eob_bfs_tests =
   let eob = Wb_protocols.Eob_bfs_async.protocol in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"valid on random EOB graphs" ~count:100
          QCheck.(pair seeded (int_range 2 40))
          (fun (seed, n) ->
            let g = G.Gen.random_eob (Prng.create seed) n 0.3 in
            run_valid eob Problems.Eob_bfs g (seed + 1)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"rejects non-EOB graphs without deadlock" ~count:100 seeded
          (fun seed ->
            let rng = Prng.create seed in
@@ -280,7 +278,7 @@ let eob_bfs_tests =
 
 let bipartite_async_tests =
   let bip = Wb_protocols.Bfs_bipartite_async.protocol in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"valid BFS forests on random bipartite graphs" ~count:100
          QCheck.(pair seeded (int_range 1 15))
          (fun (seed, half) ->
@@ -300,7 +298,7 @@ let bipartite_async_tests =
 
 let connectivity_tests =
   let conn = Wb_protocols.Connectivity_sync.protocol in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"agrees with reference on gnp" ~count:150
          QCheck.(pair seeded (int_range 1 25))
          (fun (seed, n) ->
@@ -312,7 +310,7 @@ let connectivity_tests =
           (explore_valid conn Problems.Connectivity (G.Graph.of_edges 4 [ (0, 1); (2, 3) ]))) ]
 
 let subgraph_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"extracts the prefix subgraph" ~count:100
          QCheck.(pair seeded (int_range 1 30))
          (fun (seed, n) ->
@@ -331,7 +329,7 @@ let subgraph_tests =
         check "tiny messages" true (run.Engine.stats.max_message_bits <= 8 + 20)) ]
 
 let randomized_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"randomized two-cliques: correct w.h.p. both ways" ~count:60
          QCheck.(pair seeded (int_range 2 10))
          (fun (seed, half) ->
@@ -353,7 +351,7 @@ let randomized_tests =
         check "some seed fails" true (!failures > 0)) ]
 
 let triangle_degenerate_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"triangle via BUILD on the promise class" ~count:60
          QCheck.(pair seeded (int_range 1 3))
          (fun (seed, k) ->

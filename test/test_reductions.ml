@@ -4,8 +4,6 @@ module G = Wb_graph
 module Prng = Wb_support.Prng
 module Nat = Wb_bignum.Nat
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let seeded = QCheck.small_int
@@ -44,11 +42,11 @@ let counting_tests =
         check "below floor" false (Counting.feasible cls ~n:100 ~f_bits:(b - 1))) ]
 
 let fig1_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"gadget faithful on random bipartite" ~count:40 seeded (fun seed ->
            let rng = Prng.create seed in
            Triangle_reduction.gadget_faithful (G.Gen.random_bipartite rng 5 5 0.4)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"gadget faithful on triangle-free gnp" ~count:60 seeded (fun seed ->
            let rng = Prng.create seed in
            let g = G.Gen.random_gnp rng 8 0.2 in
@@ -61,7 +59,7 @@ let fig1_tests =
         Alcotest.(check int) "apex degree" 2 (G.Graph.degree h 6)) ]
 
 let thm3_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"transformed oracle BUILDs bipartite graphs" ~count:20 seeded
          (fun seed ->
            let rng = Prng.create seed in
@@ -96,10 +94,10 @@ let thm3_tests =
           [ 1024; 4096; 16384 ]) ]
 
 let thm6_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"MIS gadget characterises edges" ~count:40 seeded (fun seed ->
            Mis_reduction.gadget_faithful (G.Gen.random_gnp (Prng.create seed) 7 0.4)));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"transformed oracle BUILDs arbitrary graphs" ~count:20 seeded
          (fun seed ->
            let rng = Prng.create seed in
@@ -109,7 +107,7 @@ let thm6_tests =
            run.P.Engine.outcome = P.Engine.Success (P.Answer.Graph g))) ]
 
 let fig2_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"gadget layer-3 characterisation, all odd targets" ~count:30 seeded
          (fun seed ->
            let g = G.Gen.random_eob (Prng.create seed) 8 0.4 in
@@ -120,7 +118,7 @@ let fig2_tests =
              t := !t + 2
            done;
            !ok));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"gadget preserves even-odd bipartiteness" ~count:30 seeded
          (fun seed ->
            let g = G.Gen.random_eob (Prng.create seed) 10 0.4 in
@@ -132,7 +130,7 @@ let fig2_tests =
           (Eob_bfs_reduction.input_ok (G.Graph.of_edges 6 [ (0, 1); (1, 2); (0, 2) ]))) ]
 
 let thm8_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"transformed oracle BUILDs EOB graphs" ~count:15 seeded (fun seed ->
            let rng = Prng.create seed in
            let g = G.Gen.random_eob rng 8 0.4 in

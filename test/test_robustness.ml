@@ -5,8 +5,6 @@ open Wb_model
 module G = Wb_graph
 module Prng = Wb_support.Prng
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let output_of (p : Protocol.t) ~n board =
@@ -68,7 +66,7 @@ let corrupted_board_tests =
         check "reject" true (output_of Wb_protocols.Build_forest.protocol ~n:2 board = Answer.Reject)) ]
 
 let determinism_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"runs are reproducible from the seed" ~count:50 QCheck.small_int
          (fun seed ->
            let g = G.Gen.random_gnp (Prng.create seed) 14 0.2 in
@@ -80,7 +78,7 @@ let determinism_tests =
              (run.Engine.writes, run.Engine.stats, run.Engine.outcome)
            in
            go () = go ()));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"SIMASYNC boards are schedule-independent as multisets" ~count:40
          QCheck.small_int (fun seed ->
            let g = G.Gen.random_tree (Prng.create seed) 10 in
@@ -121,14 +119,14 @@ let report_tests =
         check "no newline" true (not (String.contains (Report.summary run) '\n'))) ]
 
 let codec_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"signed zig-zag roundtrip" ~count:400 QCheck.int (fun v ->
            let v = v / 4 (* keep 2v in range *) in
            let w = Wb_support.Bitbuf.Writer.create () in
            Wb_protocols.Codec.write_signed w v;
            let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.contents w) in
            Wb_protocols.Codec.read_signed r = v));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"payload embedding roundtrip" ~count:200
          QCheck.(small_list bool)
          (fun bits ->
@@ -137,7 +135,7 @@ let codec_tests =
            Wb_protocols.Codec.write_payload w payload;
            let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.contents w) in
            Wb_protocols.Codec.read_payload r = payload));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"big-nat wire roundtrip" ~count:200 QCheck.(pair small_int small_int)
          (fun (a, b) ->
            let v = Wb_bignum.Nat.mul (Wb_bignum.Nat.of_int (abs a)) (Wb_bignum.Nat.pow_int 10 (abs b mod 20)) in

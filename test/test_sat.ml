@@ -1,8 +1,6 @@
 open Wb_sat
 module Prng = Wb_support.Prng
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let brute_force nvars clauses =
@@ -43,7 +41,7 @@ let solve_clauses nvars clauses =
   (s, Solver.solve s)
 
 let solver_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"agrees with brute force; models verify" ~count:400 QCheck.small_int
          (fun seed ->
            let nvars, clauses = random_instance seed in

@@ -1,7 +1,5 @@
 open Wb_support
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let check = Alcotest.(check bool)
 
 let prng_tests =
@@ -26,21 +24,21 @@ let prng_tests =
         let a = Prng.create 9 in
         let c = Prng.split a in
         check "child differs from fresh parent stream" true (Prng.bits64 c <> Prng.bits64 a));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"int respects bound" ~count:500
          QCheck.(pair small_int (int_range 1 1000))
          (fun (seed, bound) ->
            let g = Prng.create seed in
            let v = Prng.int g bound in
            v >= 0 && v < bound));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"in_range inclusive" ~count:500
          QCheck.(triple small_int (int_range (-50) 50) (int_range 0 100))
          (fun (seed, lo, span) ->
            let g = Prng.create seed in
            let v = Prng.in_range g lo (lo + span) in
            v >= lo && v <= lo + span));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"shuffle is a permutation" ~count:200
          QCheck.(pair small_int (int_range 0 40))
          (fun (seed, n) ->
@@ -48,7 +46,7 @@ let prng_tests =
            let a = Array.init n (fun i -> i) in
            Prng.shuffle g a;
            Perm.is_permutation a));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"sample_without_replacement: sorted distinct in range" ~count:300
          QCheck.(triple small_int (int_range 0 30) (int_range 0 30))
          (fun (seed, a, b) ->
@@ -85,7 +83,7 @@ let bitset_tests =
     done;
     Bitset.to_list s = IS.elements !r && Bitset.cardinal s = IS.cardinal !r
   in
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"bitset mirrors Set" ~count:100
          QCheck.(pair small_int (int_range 1 200))
          (fun (seed, n) -> reference_ops seed n 300));
@@ -118,7 +116,7 @@ let bitset_tests =
             Bitset.add s 10)) ]
 
 let bitbuf_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"nat roundtrip (list)" ~count:300
          QCheck.(small_list (int_range 0 1_000_000))
          (fun vals ->
@@ -126,7 +124,7 @@ let bitbuf_tests =
            List.iter (Bitbuf.Writer.nat w) vals;
            let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w) in
            List.for_all (fun v -> Bitbuf.Reader.nat r = v) vals && Bitbuf.Reader.remaining r = 0));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"fixed roundtrip" ~count:300
          QCheck.(pair (int_range 0 62) (int_range 0 max_int))
          (fun (width, v) ->
@@ -136,7 +134,7 @@ let bitbuf_tests =
            Bitbuf.Writer.fixed w ~width v;
            let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w) in
            Bitbuf.Reader.fixed r ~width = v));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"gamma/delta roundtrip, delta no longer for big values" ~count:300
          QCheck.(int_range 1 10_000_000)
          (fun v ->
@@ -181,7 +179,7 @@ let dynarray_tests =
         Alcotest.(check int) "pop" 99 (Dynarray.pop d);
         Dynarray.truncate d 10;
         Alcotest.(check (list int)) "list" (List.init 10 Fun.id) (Dynarray.to_list d));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"to_array/of_array roundtrip" ~count:200
          QCheck.(small_list int)
          (fun l ->
@@ -189,7 +187,7 @@ let dynarray_tests =
            Dynarray.to_list d = l)) ]
 
 let heap_tests =
-  [ qtest
+  [ Prop.qtest
       (QCheck.Test.make ~name:"drain sorts" ~count:200
          QCheck.(small_list int)
          (fun l ->
@@ -217,7 +215,7 @@ let perm_tests =
             (if n = 0 then 1 else Perm.factorial n)
             (Hashtbl.length seen)
         done);
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"inverse . apply = id" ~count:200
          QCheck.(pair small_int (int_range 1 30))
          (fun (seed, n) ->
@@ -230,7 +228,7 @@ let mix_tests =
         Alcotest.(check int) "stable" (Mix.mix 42) (Mix.mix 42);
         check "mix 0 <> 0" true (Mix.mix 0 <> 0);
         check "nonnegative" true (Mix.mix min_int >= 0 && Mix.mix max_int >= 0));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"no trivial collisions on small ints" ~count:1
          QCheck.unit
          (fun () ->
@@ -239,13 +237,13 @@ let mix_tests =
              Hashtbl.replace seen (Mix.mix i) ()
            done;
            Hashtbl.length seen = 4096));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"combine is order-dependent" ~count:200
          QCheck.(pair small_nat small_nat)
          (fun (a, b) ->
            QCheck.assume (a <> b);
            Mix.combine (Mix.combine 0 a) b <> Mix.combine (Mix.combine 0 b) a));
-    qtest
+    Prop.qtest
       (QCheck.Test.make ~name:"bools: injective-ish and length-sensitive" ~count:200
          QCheck.(pair (array_of_size Gen.(0 -- 70) bool) small_nat)
          (fun (bits, seed) ->
