@@ -9,9 +9,14 @@
 type t
 
 val name : t -> string
-val choose : t -> Board.t -> int list -> int
-(** [choose adv board candidates] returns a member of [candidates]
-    (non-empty, sorted increasing). *)
+val choose : t -> Board.t -> Candidates.t -> int
+(** [choose adv board candidates] returns a member of [candidates].  The
+    view is read-only and ascending; the adversary reads it by rank, so
+    {!min_id}, {!max_id}, {!random} and {!alternating_extremes} cost
+    O(log n) whatever the number of candidates, while {!by_priority} and
+    {!last_writer_neighbor_avoider} scan it.
+    @raise Invalid_argument when [candidates] is empty or the strategy
+    returns a non-member. *)
 
 val min_id : t
 (** Always the smallest identifier — the "polite" schedule many protocols
@@ -19,8 +24,8 @@ val min_id : t
 
 val max_id : t
 val random : Wb_support.Prng.t -> t
-(** Uniform among candidates; stateful, so reuse across runs gives fresh
-    draws. *)
+(** Uniform among candidates: one draw of [Prng.int] per choice, used as
+    a rank.  Stateful, so reuse across runs gives fresh draws. *)
 
 val by_priority : int array -> t
 (** [by_priority prio] picks the candidate with the largest [prio.(v)].

@@ -42,5 +42,9 @@ val generation : t -> int
     previously-read positions may have been rewritten. *)
 
 val total_bits : t -> int
+(** Sum of payload bits on the board; O(1), kept by [append]/[truncate]. *)
+
 val max_message_bits : t -> int
+(** Largest payload on the board (0 when empty); a fold over the board. *)
+
 val pp : Format.formatter -> t -> unit

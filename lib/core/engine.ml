@@ -128,6 +128,7 @@ module Make (P : Protocol.S) = struct
       | `Write _ -> go ()
       | `Done run -> complete run
       | `Choices candidates ->
+        (* A copy: the view is live and [restore] rewrites it. *)
         List.for_all
           (fun v ->
             let saved = M.snapshot m in
@@ -135,7 +136,7 @@ module Make (P : Protocol.S) = struct
             let ok = go () in
             M.restore m saved;
             ok)
-          candidates
+          (Candidates.to_list candidates)
     in
     match go () with
     | all_ok -> Ok (all_ok, !executions)
@@ -232,7 +233,9 @@ module Make (P : Protocol.S) = struct
     let expand m stab rev_path descend =
       match settle m with
       | `Done _ -> assert false (* entered at a claimed choice point *)
-      | `Choices candidates ->
+      | `Choices view ->
+        (* A copy: the view is live and [restore] rewrites it. *)
+        let candidates = Candidates.to_list view in
         let kept =
           if Array.length stab <= 1 then candidates
           else begin
@@ -245,10 +248,11 @@ module Make (P : Protocol.S) = struct
             kept
           end
         in
+        (* One snapshot serves every candidate: [restore] leaves it intact. *)
+        let saved = M.snapshot m in
         List.iter
           (fun v ->
             if not (Atomic.get over) then begin
-              let saved = M.snapshot m in
               M.pick m v;
               if arrive m then descend v (v :: rev_path);
               M.restore m saved

@@ -1,6 +1,7 @@
 module Obs = Wb_obs
 module G = Wb_graph.Graph
 module Mix = Wb_support.Mix
+module Rankset = Wb_support.Rankset
 
 type status = Awake | Active | Terminated | Dead
 
@@ -90,9 +91,16 @@ module Make (N : NODE) = struct
   (* What the machine is waiting for between [step]s. *)
   type pending =
     | Idle  (** advance through rounds on the next [step]. *)
-    | Waiting of int list  (** a scheduling choice is open. *)
+    | Waiting  (** a scheduling choice over [active] is open. *)
     | Chosen of int  (** [pick]ed; validate and append on the next [step]. *)
 
+  (* Node bookkeeping lives in worklists so that no step scans all [n]
+     nodes: [awake] holds the Awake nodes in ascending order (compacted by
+     the activation loop), [active] the write candidates — Active nodes that
+     activated in an earlier round — and [fresh] this round's activations,
+     which join [active] at the start of the next round.  [kill] removes a
+     node from [active] at once; [awake] and [fresh] drop dead nodes the
+     next time they are walked. *)
   type t = {
     size : int;
     bound : int;
@@ -105,12 +113,19 @@ module Make (N : NODE) = struct
     root_ctx : Obs.Span.context option;  (* parent for per-round spans *)
     mutable span_root : Obs.Span.t option;
     mutable span_round : Obs.Span.t option;
-    mutable status : status array;
-    mutable locals : N.local array;
-    mutable memory : Message.t option array;
-    mutable activation_round : int array;
-    mutable write_round : int array;
-    mutable compose_count : int array;
+    status : status array;
+    locals : N.local array;
+    memory : Message.t option array;
+    activation_round : int array;
+    write_round : int array;
+    compose_count : int array;
+    awake : int array;  (* [awake.(0 .. n_awake - 1)], ascending *)
+    mutable n_awake : int;
+    active : Rankset.t;
+    candidates : Candidates.t;  (* the read-only view of [active] *)
+    fresh : int array;  (* [fresh.(0 .. n_fresh - 1)], ascending *)
+    mutable n_fresh : int;
+    scratch : int array;  (* synchronous recomposition's copy of [active] *)
     mutable round : int;
     mutable pending : pending;
     mutable finished : run option;
@@ -122,7 +137,7 @@ module Make (N : NODE) = struct
        append reuses the hash of the message it publishes. *)
     mutable z0 : int;
     mutable z1 : int;
-    mutable mem_h : int array;
+    mem_h : int array;
   }
 
   let frozen = Model.frozen_at_activation N.model
@@ -150,6 +165,7 @@ module Make (N : NODE) = struct
       | Some tr ->
         Some (Obs.Span.start ?parent:span ~attrs:[ ("n", string_of_int size) ] minter tr "run")
     in
+    let active = Rankset.create size in
     { size;
       bound = N.message_bound ~n:size;
       max_rounds = (match max_rounds with Some r -> r | None -> default_max_rounds size);
@@ -167,6 +183,13 @@ module Make (N : NODE) = struct
       activation_round = Array.make size (-1);
       write_round = Array.make size (-1);
       compose_count = Array.make size 0;
+      awake = Array.init size Fun.id;
+      n_awake = size;
+      active;
+      candidates = Candidates.of_rankset active;
+      fresh = Array.make size 0;
+      n_fresh = 0;
+      scratch = Array.make size 0;
       round = 0;
       pending = Idle;
       finished = None;
@@ -203,7 +226,7 @@ module Make (N : NODE) = struct
   let digest t =
     let acc = Mix.combine (Mix.combine t.z0 t.z1) t.round in
     match t.pending with
-    | Waiting cs -> List.fold_left (fun a v -> Mix.combine a (v + 2)) (Mix.combine acc 1) cs
+    | Waiting -> Rankset.fold (fun a v -> Mix.combine a (v + 2)) (Mix.combine acc 1) t.active
     | Idle | Chosen _ -> Mix.combine acc 0
 
   let emit t ev = match t.trace with None -> () | Some tr -> Obs.Trace.emit tr ev
@@ -226,6 +249,7 @@ module Make (N : NODE) = struct
   let kill t v =
     if t.status.(v) <> Dead then begin
       set_status t v Dead;
+      Rankset.remove t.active v;
       let parent = inner_parent t in
       span_finish t (span_start t ?parent ~attrs:[ ("node", string_of_int (v + 1)) ] "fault")
     end
@@ -262,9 +286,11 @@ module Make (N : NODE) = struct
           (Obs.Event.Cost_round { round; writes; bits; board_bits = Board.total_bits t.board }))
 
   (* One deterministic round prefix: terminations, candidate collection,
-     activations, synchronous recomposition.  Returns the write candidates
-     (filtered to live nodes holding a message — the filter is identity on
-     fault-free executions) and whether anyone activated. *)
+     activations, synchronous recomposition.  Leaves the write candidates
+     in [active] and says whether anyone activated.  Costs O(log n) per
+     node that changes set, plus the hooks: [wants_to_activate] once per
+     awake node (none at all in simultaneous models after round one), and
+     in synchronous models [compose] once per candidate. *)
   let round_prefix t =
     Obs.Prof.phase prof_round (fun () ->
     flush_cost t;
@@ -275,16 +301,28 @@ module Make (N : NODE) = struct
     t.round <- t.round + 1;
     emit t (Obs.Event.Round_start { round = t.round });
     t.span_round <- span_start t ?parent:t.root_ctx "round";
-    for v = 0 to t.size - 1 do
-      if t.status.(v) = Active && Board.has_author t.board v then set_status t v Terminated
+    (* One write per round, so the last writer is the only active author:
+       every earlier one was terminated at the start of the round after its
+       write. *)
+    (match Board.last t.board with
+    | Some m ->
+      let w = Message.author m in
+      if t.status.(w) = Active then begin
+        set_status t w Terminated;
+        Rankset.remove t.active w
+      end
+    | None -> ());
+    (* Last round's activations become candidates now: a node never
+       activates and writes in the same round. *)
+    for i = 0 to t.n_fresh - 1 do
+      let v = t.fresh.(i) in
+      if t.status.(v) = Active then Rankset.add t.active v
     done;
-    let candidates = ref [] in
-    for v = t.size - 1 downto 0 do
-      if t.status.(v) = Active then candidates := v :: !candidates
-    done;
-    Obs.Metrics.observe m_candidates (List.length !candidates);
-    let activated = ref false in
-    for v = 0 to t.size - 1 do
+    t.n_fresh <- 0;
+    Obs.Metrics.observe m_candidates (Rankset.cardinal t.active);
+    let kept = ref 0 in
+    for i = 0 to t.n_awake - 1 do
+      let v = t.awake.(i) in
       if t.status.(v) = Awake then begin
         let goes =
           if simultaneous then t.round = 1
@@ -292,19 +330,32 @@ module Make (N : NODE) = struct
         in
         (* [wants_to_activate] may kill the node (a faulted query): a dead
            node never activates, however it answered. *)
-        if goes && t.status.(v) = Awake then begin
-          set_status t v Active;
-          t.activation_round.(v) <- t.round;
-          activated := true;
-          emit t (Obs.Event.Activate { node = v; round = t.round });
-          if frozen then compose_now t v
-        end
+        if t.status.(v) = Awake then
+          if goes then begin
+            set_status t v Active;
+            t.activation_round.(v) <- t.round;
+            t.fresh.(t.n_fresh) <- v;
+            t.n_fresh <- t.n_fresh + 1;
+            emit t (Obs.Event.Activate { node = v; round = t.round });
+            if frozen then compose_now t v
+          end
+          else begin
+            t.awake.(!kept) <- v;
+            incr kept
+          end
       end
     done;
-    if not frozen then
-      List.iter (fun v -> if t.status.(v) = Active then compose_now t v) !candidates;
-    ( List.filter (fun v -> t.status.(v) = Active && Option.is_some t.memory.(v)) !candidates,
-      !activated ))
+    t.n_awake <- !kept;
+    (* A composition may kill, which removes from [active]: recompose from a
+       copy of the set as it stood. *)
+    if not frozen then begin
+      let k = Rankset.fold (fun i v -> t.scratch.(i) <- v; i + 1) 0 t.active in
+      for i = 0 to k - 1 do
+        let v = t.scratch.(i) in
+        if t.status.(v) = Active then compose_now t v
+      done
+    end;
+    t.n_fresh > 0)
 
   let do_write t v =
     match t.memory.(v) with
@@ -314,18 +365,12 @@ module Make (N : NODE) = struct
       stamp t (Mix.combine 0x42 t.mem_h.(v));
       t.write_round.(v) <- t.round;
       Obs.Metrics.incr m_writes;
-      Obs.Metrics.set m_board_bits (Board.total_bits t.board);
+      let board_bits = Board.total_bits t.board in
+      Obs.Metrics.set m_board_bits board_bits;
       (match t.cost with
       | None -> ()
-      | Some l ->
-        Obs.Cost.record l ~round:t.round ~bits:(Message.size_bits m)
-          ~board_bits:(Board.total_bits t.board));
-      emit t
-        (Obs.Event.Write
-           { node = v;
-             round = t.round;
-             bits = Message.size_bits m;
-             board_bits = Board.total_bits t.board })
+      | Some l -> Obs.Cost.record l ~round:t.round ~bits:(Message.size_bits m) ~board_bits);
+      emit t (Obs.Event.Write { node = v; round = t.round; bits = Message.size_bits m; board_bits })
 
   let finish t outcome =
     flush_cost t;
@@ -378,7 +423,7 @@ module Make (N : NODE) = struct
     | Some run -> `Done run
     | None -> (
       match t.pending with
-      | Waiting candidates -> `Choices candidates
+      | Waiting -> `Choices t.candidates
       | Chosen v -> (
         t.pending <- Idle;
         match check_size t v with
@@ -391,22 +436,29 @@ module Make (N : NODE) = struct
           if Board.length t.board = t.size then `Done (finish t (success_outcome t))
           else if t.round >= t.max_rounds then `Done (finish t Deadlock)
           else
-            match round_prefix t with
-            | [], false -> `Done (finish t Deadlock)
-            | [], true -> advance ()
-            | candidates, _ ->
-              t.pending <- Waiting candidates;
-              `Choices candidates
+            let activated = round_prefix t in
+            if Rankset.cardinal t.active > 0 then begin
+              t.pending <- Waiting;
+              `Choices t.candidates
+            end
+            else if activated then advance ()
+            else `Done (finish t Deadlock)
         in
         advance ()))
 
   let pick t v =
     Obs.Prof.phase prof_pick (fun () ->
     match t.pending with
-    | Waiting candidates when List.exists (Int.equal v) candidates ->
-      emit t (Obs.Event.Adversary_pick { node = v; round = t.round; candidates });
+    | Waiting when Rankset.mem t.active v ->
+      (* The event lists the candidates, so only a traced pick pays O(k). *)
+      (match t.trace with
+      | None -> ()
+      | Some tr ->
+        Obs.Trace.emit tr
+          (Obs.Event.Adversary_pick
+             { node = v; round = t.round; candidates = Rankset.to_list t.active }));
       t.pending <- Chosen v
-    | Waiting _ -> invalid_arg "Machine.pick: not a candidate"
+    | Waiting -> invalid_arg "Machine.pick: not a candidate"
     | Idle | Chosen _ -> invalid_arg "Machine.pick: no scheduling choice is open")
 
   type snapshot = {
@@ -416,6 +468,9 @@ module Make (N : NODE) = struct
     s_activation : int array;
     s_write : int array;
     s_compose : int array;
+    s_awake : int array;  (* the live prefix only *)
+    s_active : Rankset.t;
+    s_fresh : int array;  (* the live prefix only *)
     s_round : int;
     s_board_len : int;
     s_pending : pending;
@@ -431,6 +486,9 @@ module Make (N : NODE) = struct
       s_activation = Array.copy t.activation_round;
       s_write = Array.copy t.write_round;
       s_compose = Array.copy t.compose_count;
+      s_awake = Array.sub t.awake 0 t.n_awake;
+      s_active = Rankset.copy t.active;
+      s_fresh = Array.sub t.fresh 0 t.n_fresh;
       s_round = t.round;
       s_board_len = Board.snapshot_length t.board;
       s_pending = t.pending;
@@ -438,19 +496,37 @@ module Make (N : NODE) = struct
       s_z1 = t.z1;
       s_mem_h = Array.copy t.mem_h }
 
+  (* Element loops over arrays of immediates: typed as such, the stores
+     skip the write barrier a generic [Array.blit] into the machine's
+     long-lived arrays would pay per element. *)
+  let blit_ints (src : int array) dst =
+    for i = 0 to Array.length src - 1 do
+      Array.unsafe_set dst i (Array.unsafe_get src i)
+    done
+
+  let blit_status (src : status array) dst =
+    for i = 0 to Array.length src - 1 do
+      Array.unsafe_set dst i (Array.unsafe_get src i)
+    done
+
   let restore t s =
-    t.status <- Array.copy s.s_status;
-    t.locals <- Array.copy s.s_locals;
-    t.memory <- Array.copy s.s_memory;
-    t.activation_round <- Array.copy s.s_activation;
-    t.write_round <- Array.copy s.s_write;
-    t.compose_count <- Array.copy s.s_compose;
+    blit_status s.s_status t.status;
+    Array.blit s.s_locals 0 t.locals 0 t.size;
+    Array.blit s.s_memory 0 t.memory 0 t.size;
+    blit_ints s.s_activation t.activation_round;
+    blit_ints s.s_write t.write_round;
+    blit_ints s.s_compose t.compose_count;
+    blit_ints s.s_awake t.awake;
+    t.n_awake <- Array.length s.s_awake;
+    Rankset.blit ~src:s.s_active ~dst:t.active;
+    blit_ints s.s_fresh t.fresh;
+    t.n_fresh <- Array.length s.s_fresh;
     t.round <- s.s_round;
     Board.truncate t.board s.s_board_len;
     t.pending <- s.s_pending;
     t.z0 <- s.s_z0;
     t.z1 <- s.s_z1;
-    t.mem_h <- Array.copy s.s_mem_h;
+    blit_ints s.s_mem_h t.mem_h;
     (* A rewound round must not be observed as a round summary; the ledger's
        cumulative process totals keep counting replays by design. *)
     (match t.cost with None -> () | Some l -> Obs.Cost.discard_round l);

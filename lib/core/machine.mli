@@ -121,24 +121,41 @@ module Make (N : NODE) : sig
       (default 0), so the trace tree is reproducible.  Give sibling
       machines sharing one parent distinct salts or their ids collide. *)
 
-  val step : t -> [ `Choices of int list | `Write of int | `Done of run ]
+  val step : t -> [ `Choices of Candidates.t | `Write of int | `Done of run ]
   (** Advance until something needs the driver:
       - [`Choices cs] — a scheduling choice is open; call {!pick} (the same
-        [`Choices] is returned until then);
+        [`Choices] is returned until then).  [cs] is a live read-only view
+        of the machine's candidate set, not a copy: it is valid until the
+        next {!pick}, {!kill} or {!restore}, so a driver that tries several
+        candidates from one choice point takes {!Candidates.to_list} first;
       - [`Write v] — the message picked last time was appended (one
         observable frame for the referee to broadcast);
       - [`Done run] — the execution is over; further [step]s return the
-        same [run]. *)
+        same [run].
+
+      {b Cost.}  No step scans all [n] nodes.  Beyond the protocol hooks
+      it calls, a step costs O(log n) amortised plus O(log n) per hook
+      call: every node enters and leaves the candidate set at most once,
+      and the round bookkeeping walks only the awake nodes it queries and
+      the candidates it recomposes.  An execution of [n] writes therefore
+      spends O(n log n) in the kernel, plus O(n) to build its {!run}.  The
+      hooks are the protocol's price: [wants_to_activate] once per awake
+      node per round (never after round one in simultaneous models),
+      [compose] once per activation in frozen models and once per
+      candidate per round in synchronous ones.  A traced run also pays
+      O(k) per pick to list the [k] candidates in [Adversary_pick]. *)
 
   val pick : t -> int -> unit
-  (** Resolve the open choice with one of its candidates (emits
-      [Adversary_pick]).  @raise Invalid_argument if no choice is open or
-      the node is not a candidate. *)
+  (** Resolve the open choice with one of its candidates, validated by
+      membership in O(1) (emits [Adversary_pick] when traced).
+      @raise Invalid_argument if no choice is open or the node is not a
+      candidate. *)
 
   val kill : t -> int -> unit
-  (** Mark a node dead (networked transport fault).  A dead node never
-      activates, composes or writes again; a board that can no longer fill
-      deadlocks by round exhaustion. *)
+  (** Mark a node dead (networked transport fault).  A dead node leaves
+      every node set at once — it never activates, composes or writes
+      again, and it drops out of an open choice; a board that can no longer
+      fill deadlocks by round exhaustion. *)
 
   val board : t -> Board.t
   val round : t -> int
@@ -161,12 +178,14 @@ module Make (N : NODE) : sig
   type snapshot
 
   val snapshot : t -> snapshot
-  (** O(n) copy of the mutable state; the board is captured by length only
-      (it is append-only between snapshot and restore). *)
+  (** O(n) copy of the mutable state, worklists and candidate set included;
+      the board is captured by length only (it is append-only between
+      snapshot and restore). *)
 
   val restore : t -> snapshot -> unit
   (** Rewind to [snapshot] — including an open choice, and {e un}-finishing
       a completed execution, which is what depth-first exploration does at
-      every backtrack.  Only valid with snapshots taken from the same
-      machine. *)
+      every backtrack.  The snapshot itself is left intact, so one
+      snapshot can be restored any number of times.  Only valid with
+      snapshots taken from the same machine. *)
 end

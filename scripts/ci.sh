@@ -13,11 +13,17 @@ dune runtest
 
 # The properties above ran at the pinned default seed (test/prop.ml).  One
 # more pass draws a fresh seed and prints it first, so a failure replays
-# with `QCHECK_SEED=<seed> dune runtest --force`.
+# with `QCHECK_SEED=<seed> dune runtest --force`.  It runs the quick tests
+# only: the slow ones (the kernel golden digest, the exhaustive registry
+# sweep) draw nothing from qcheck and already ran above.
 seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "rotating qcheck seed: $seed"
-QCHECK_SEED=$seed dune runtest --force
+QCHECK_SEED=$seed ALCOTEST_QUICK_TESTS=1 dune runtest --force
 dune build @check-obs @check-net @check-par --force
+
+# The linear-time kernel at scale: a 100000-node SIMASYNC BUILD run must
+# finish (in seconds) with a valid answer.
+dune build @check-scale --force
 
 # Distributed tracing end to end: merged multi-process Chrome traces from
 # the loopback, socket and parallel-exploration paths, validated by

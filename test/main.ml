@@ -18,4 +18,5 @@ let () =
          Test_bench.suites;
          Test_net.suites;
          Test_chaos.suites;
-         Test_lint.suites ])
+         Test_lint.suites;
+         Test_kernel.suites ])

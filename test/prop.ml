@@ -3,7 +3,10 @@
    Tier-1 suite draw fresh inputs each time; here every property gets its
    own state seeded from [QCHECK_SEED] when that is set (how scripts/ci.sh
    runs its rotating-seed pass) and from a fixed constant otherwise, so a
-   plain run is reproducible bit for bit and independent of test order. *)
+   plain run is reproducible bit for bit and independent of test order.
+   Properties count as [`Quick] (QCheck_alcotest's default is [`Slow]) so
+   that a [--quick-tests] pass, like the rotating-seed one, still runs
+   every one of them. *)
 
 let default_seed = 2012
 
@@ -15,4 +18,5 @@ let seed =
     | Some n -> n
     | None -> failwith (Printf.sprintf "QCHECK_SEED must be an integer, got %S" s))
 
-let qtest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
+let qtest t =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| seed |]) t

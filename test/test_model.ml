@@ -319,21 +319,48 @@ let board_tests =
         List.iter
           (fun a -> Board.append b (Message.make ~author:a ~payload:[||]))
           [ 1; 2; 0 ];
-        Alcotest.(check (list int)) "order" [ 1; 2; 0 ] (Array.to_list (Board.authors_in_order b))) ]
+        Alcotest.(check (list int)) "order" [ 1; 2; 0 ] (Array.to_list (Board.authors_in_order b)));
+    Prop.qtest
+      (QCheck.Test.make ~name:"incremental totals agree with a fold" ~count:300
+         QCheck.(list (pair bool (int_range 0 40)))
+         (fun ops ->
+           (* [true, k] appends the next author with a k-bit payload;
+              [false, k] truncates to k mod (length + 1). *)
+           let n = 64 in
+           let b = Board.create n in
+           let agrees () =
+             Board.total_bits b = Board.fold (fun acc m -> acc + Message.size_bits m) 0 b
+           in
+           List.for_all
+             (fun (append, k) ->
+               (if append then begin
+                  let author = ref 0 in
+                  while Board.has_author b !author do
+                    incr author
+                  done;
+                  if !author < n then
+                    Board.append b (Message.make ~author:!author ~payload:(Array.make k true))
+                end
+                else Board.truncate b (k mod (Board.length b + 1)));
+               agrees ())
+             ops)) ]
 
 let adversary_tests =
+  let cands = Candidates.of_list ~n:9 in
   [ Alcotest.test_case "strategies pick as documented" `Quick (fun () ->
         let b = Board.create 5 in
-        Alcotest.(check int) "min" 1 (Adversary.choose Adversary.min_id b [ 1; 3; 4 ]);
-        Alcotest.(check int) "max" 4 (Adversary.choose Adversary.max_id b [ 1; 3; 4 ]);
+        let c = Candidates.of_list ~n:5 [ 1; 3; 4 ] in
+        Alcotest.(check int) "min" 1 (Adversary.choose Adversary.min_id b c);
+        Alcotest.(check int) "max" 4 (Adversary.choose Adversary.max_id b c);
         Alcotest.(check int) "priority" 3
-          (Adversary.choose (Adversary.by_priority [| 0; 1; 9; 10; 2 |]) b [ 1; 3; 4 ]);
-        Alcotest.(check int) "alt even board" 1 (Adversary.choose Adversary.alternating_extremes b [ 1; 3; 4 ]));
+          (Adversary.choose (Adversary.by_priority [| 0; 1; 9; 10; 2 |]) b c);
+        Alcotest.(check int) "alt even board" 1 (Adversary.choose Adversary.alternating_extremes b c));
     Alcotest.test_case "random adversary stays in candidates" `Quick (fun () ->
         let adv = Adversary.random (Wb_support.Prng.create 4) in
         let b = Board.create 9 in
+        let c = cands [ 2; 5; 8 ] in
         for _ = 1 to 100 do
-          check "member" true (List.mem (Adversary.choose adv b [ 2; 5; 8 ]) [ 2; 5; 8 ])
+          check "member" true (List.mem (Adversary.choose adv b c) [ 2; 5; 8 ])
         done);
     Alcotest.test_case "avoider dodges neighbors of last writer" `Quick (fun () ->
         let g = G.Gen.star 5 in
@@ -341,7 +368,29 @@ let adversary_tests =
         let b = Board.create 5 in
         Board.append b (Message.make ~author:0 ~payload:[||]);
         (* all of 1..4 neighbor the center 0: falls back to head *)
-        Alcotest.(check int) "fallback" 1 (Adversary.choose adv b [ 1; 2; 3; 4 ])) ]
+        Alcotest.(check int) "fallback" 1
+          (Adversary.choose adv b (Candidates.of_list ~n:5 [ 1; 2; 3; 4 ])));
+    Alcotest.test_case "random is one draw, read as a rank" `Quick (fun () ->
+        (* The view-based [random] must pick exactly what [List.nth] over the
+           sorted list picks from the same draw, and leave its generator
+           where one [Prng.int] call leaves a twin. *)
+        let module Prng = Wb_support.Prng in
+        let rng = Prng.create 17 and twin = Prng.create 17 and subsets = Prng.create 3 in
+        let adv = Adversary.random rng in
+        let b = Board.create 40 in
+        for _ = 1 to 200 do
+          let sorted = List.filter (fun _ -> Prng.bool subsets) (List.init 40 Fun.id) in
+          let sorted = if List.is_empty sorted then [ 7 ] else sorted in
+          let expected = List.nth sorted (Prng.int twin (List.length sorted)) in
+          Alcotest.(check int) "same node" expected
+            (Adversary.choose adv b (Candidates.of_list ~n:40 (List.rev sorted)));
+          Alcotest.(check int64) "same stream" (Prng.bits64 (Prng.copy twin))
+            (Prng.bits64 (Prng.copy rng))
+        done);
+    Alcotest.test_case "choose rejects an empty view" `Quick (fun () ->
+        Alcotest.check_raises "empty" (Invalid_argument "Adversary.choose: no candidates")
+          (fun () ->
+            ignore (Adversary.choose Adversary.min_id (Board.create 4) (Candidates.of_list ~n:4 [])))) ]
 
 let model_meta_tests =
   [ Alcotest.test_case "axes" `Quick (fun () ->

@@ -361,6 +361,54 @@ let cset_tests =
         Alcotest.(check int) "claims partition the digests" n (a + b);
         Alcotest.(check int) "cardinal" n (Cset.cardinal t)) ]
 
+(* The rank set against the obvious model: a sorted, duplicate-free list. *)
+let rankset_tests =
+  let agrees n s model =
+    Rankset.cardinal s = List.length model
+    && Rankset.to_list s = model
+    && List.rev (Rankset.fold (fun acc v -> v :: acc) [] s) = model
+    && (let seen = ref [] in
+        Rankset.iter (fun v -> seen := v :: !seen) s;
+        List.rev !seen = model)
+    && List.for_all Fun.id (List.mapi (fun k v -> Rankset.nth s k = v) model)
+    && List.for_all
+         (fun v -> Rankset.mem s v = List.mem v model)
+         (List.init (n + 2) (fun v -> v - 1))
+  in
+  [ Prop.qtest
+      (QCheck.Test.make ~name:"add/remove/nth/mem/iter/copy/blit against a sorted list" ~count:200
+         QCheck.(pair (int_range 0 70) (list (pair (int_range 0 3) small_nat)))
+         (fun (n, ops) ->
+           (* op 0 adds, 1 removes, 2 takes a copy, 3 blits the copy back. *)
+           let s = Rankset.create n in
+           let model = ref [] in
+           let saved = ref (Rankset.copy s, []) in
+           List.for_all
+             (fun (op, x) ->
+               (if n > 0 then
+                  let v = x mod n in
+                  match op with
+                  | 0 ->
+                    Rankset.add s v;
+                    if not (List.mem v !model) then model := List.sort compare (v :: !model)
+                  | 1 ->
+                    Rankset.remove s v;
+                    model := List.filter (fun u -> u <> v) !model
+                  | 2 -> saved := (Rankset.copy s, !model)
+                  | _ ->
+                    Rankset.blit ~src:(fst !saved) ~dst:s;
+                    model := snd !saved);
+               agrees n s !model && agrees n (fst !saved) (snd !saved))
+             ops));
+    Alcotest.test_case "bounds" `Quick (fun () ->
+        let s = Rankset.create 3 in
+        Alcotest.check_raises "add" (Invalid_argument "Rankset.add: out of range") (fun () ->
+            Rankset.add s 3);
+        Alcotest.check_raises "nth" (Invalid_argument "Rankset.nth") (fun () ->
+            ignore (Rankset.nth s 0));
+        Alcotest.check_raises "blit" (Invalid_argument "Rankset.blit: capacities differ")
+          (fun () -> Rankset.blit ~src:(Rankset.create 4) ~dst:s)) ]
+
 let suites =
   [ ("support.prng", prng_tests);
     ("support.bitset", bitset_tests);
@@ -370,4 +418,5 @@ let suites =
     ("support.perm", perm_tests);
     ("support.mix", mix_tests);
     ("support.deque", deque_tests);
-    ("support.cset", cset_tests) ]
+    ("support.cset", cset_tests);
+    ("support.rankset", rankset_tests) ]
