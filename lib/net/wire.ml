@@ -56,11 +56,18 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+(* CRC of the [len] bytes of [b] from [off], read in place. *)
+let crc32_range b ~off ~len =
   let table = Atomic.get crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := (!c lsr 8) lxor table.((!c lxor Char.code ch) land 0xff)) s;
+  for i = off to off + len - 1 do
+    c := (!c lsr 8) lxor table.((!c lxor Bytes.get_uint8 b i) land 0xff)
+  done;
   !c lxor 0xFFFFFFFF
+
+(* [Bytes.unsafe_of_string] here and in [decode_range] only lends the
+   string to this read-only scan. *)
+let crc32 s = crc32_range (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (* ---- bit-level field codecs ------------------------------------------- *)
 
@@ -68,7 +75,7 @@ exception Bad of string
 
 let fail msg = raise (Bad msg)
 
-let put_nat w v = if v < 0 then fail "negative natural" else Bitbuf.Writer.nat w v
+let put_nat w v = if v < 0 then invalid_arg "Wire.encode: negative natural" else Bitbuf.Writer.nat w v
 
 let put_string w s =
   put_nat w (String.length s);
@@ -76,7 +83,7 @@ let put_string w s =
 
 let put_bools w bits =
   put_nat w (Array.length bits);
-  Array.iter (Bitbuf.Writer.bit w) bits
+  Bitbuf.Writer.bools w bits
 
 let get_nat r = Bitbuf.Reader.nat r
 
@@ -88,7 +95,7 @@ let get_string r =
 let get_bools r =
   let len = get_nat r in
   if len > Bitbuf.Reader.remaining r then fail "bit-string length overruns frame";
-  Array.init len (fun _ -> Bitbuf.Reader.bit r)
+  Bitbuf.Reader.bools r len
 
 (* ---- opcodes ---------------------------------------------------------- *)
 
@@ -274,22 +281,6 @@ let get_payload op r =
 
 (* ---- framing ---------------------------------------------------------- *)
 
-let pack_bits bits =
-  let nbits = Array.length bits in
-  let bytes = Bytes.make ((nbits + 7) / 8) '\000' in
-  Array.iteri
-    (fun i b ->
-      if b then
-        Bytes.set bytes (i / 8)
-          (Char.chr (Char.code (Bytes.get bytes (i / 8)) lor (1 lsl (i mod 8)))))
-    bits;
-  Bytes.unsafe_to_string bytes
-
-let unpack_bits nbits s =
-  Array.init nbits (fun i -> Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0)
-
-let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-
 let read_be32 s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
@@ -305,6 +296,8 @@ let put_ctx w = function
   | None -> Bitbuf.Writer.bit w false
   | Some { Wb_obs.Span.trace; span } ->
     if trace <= 0 || span <= 0 then invalid_arg "Wire.encode: zero trace-context id";
+    if trace lsr 48 <> 0 || span lsr 48 <> 0 then
+      invalid_arg "Wire.encode: trace-context id above 48 bits";
     Bitbuf.Writer.bit w true;
     put_nat w trace;
     put_nat w span
@@ -324,6 +317,10 @@ let get_ctx r =
 let prof_encode = Wb_obs.Prof.site "wire.encode"
 let prof_decode = Wb_obs.Prof.site "wire.decode"
 
+(* The payload is written once, into a [Bitbuf.Writer] whose bytes are
+   already the packed layout; the frame is then one [Bytes] of exact size
+   with the header fields set in place, the packed bits blitted behind
+   them and the CRC taken over the body range. *)
 let encode_at ~version:v ?ctx frame =
   Wb_obs.Prof.phase prof_encode (fun () ->
   if v = 1 && opcode frame > 10 then
@@ -331,15 +328,20 @@ let encode_at ~version:v ?ctx frame =
   let w = Bitbuf.Writer.create () in
   if v >= 2 then put_ctx w ctx;
   put_payload w frame;
-  let bits = Bitbuf.Writer.contents w in
-  let nbits = Array.length bits in
-  let body =
-    Printf.sprintf "%c%s%s" (Char.chr (opcode frame)) (be32 nbits) (pack_bits bits)
-  in
-  if String.length body > max_frame_bytes then
+  let nbits = Bitbuf.Writer.length_bits w in
+  let body_len = 5 + ((nbits + 7) / 8) in
+  if body_len > max_frame_bytes then
     invalid_arg (Printf.sprintf "Wire.encode: %s frame exceeds %d bytes" (opcode_name frame)
                    max_frame_bytes);
-  String.concat "" [ String.make 1 (Char.chr v); be32 (String.length body); be32 (crc32 body); body ])
+  let b = Bytes.create (header_bytes + body_len) in
+  Bytes.set_uint8 b 0 v;
+  Bytes.set_int32_be b 1 (Int32.of_int body_len);
+  Bytes.set_uint8 b header_bytes (opcode frame);
+  Bytes.set_int32_be b (header_bytes + 1) (Int32.of_int nbits);
+  Bitbuf.Writer.blit_packed w b ~dst_off:(header_bytes + 5);
+  (* [Int32.of_int] keeps the low 32 bits: the CRC's bit pattern *)
+  Bytes.set_int32_be b 5 (Int32.of_int (crc32_range b ~off:header_bytes ~len:body_len));
+  Bytes.unsafe_to_string b)
 
 let encode ?ctx frame = encode_at ~version ?ctx frame
 let encode_v1 frame = encode_at ~version:1 frame
@@ -356,28 +358,29 @@ let decode_header s =
     end
   end
 
-let decode_body ~version:v ~crc body =
+(* Decode the [len]-byte body of [s] from [off], in place: every check
+   reads [s] directly and the payload reader walks the packed bits. *)
+let decode_range ~version:v ~crc s ~off ~len =
   Wb_obs.Prof.phase prof_decode (fun () ->
-  if crc32 body <> crc then Result.Error Crc_mismatch
-  else if String.length body < 5 then Result.Error (Malformed_body "body shorter than opcode header")
+  if crc32_range (Bytes.unsafe_of_string s) ~off ~len <> crc then Result.Error Crc_mismatch
+  else if len < 5 then Result.Error (Malformed_body "body shorter than opcode header")
   else begin
-    let op = Char.code body.[0] in
+    let op = Char.code s.[off] in
     if op < 1 || op > max_opcode || (v = 1 && op > 10) then Result.Error (Unknown_opcode op)
     else begin
-      let nbits = read_be32 body 1 in
-      let packed = String.length body - 5 in
+      let nbits = read_be32 s (off + 1) in
+      let packed = len - 5 in
       if packed <> (nbits + 7) / 8 then
         Result.Error
           (Malformed_body (Printf.sprintf "declared %d bits but %d packed bytes" nbits packed))
       else begin
-        let bits = unpack_bits nbits (String.sub body 5 packed) in
         (* canonical padding: bits beyond [nbits] in the last byte are zero *)
         let padding_clear =
-          nbits mod 8 = 0 || Char.code body.[String.length body - 1] lsr (nbits mod 8) = 0
+          nbits mod 8 = 0 || Char.code s.[off + len - 1] lsr (nbits mod 8) = 0
         in
         if not padding_clear then Result.Error (Malformed_body "nonzero padding bits")
         else begin
-          let r = Bitbuf.Reader.of_bits bits in
+          let r = Bitbuf.Reader.of_packed s ~off:(off + 5) ~nbits in
           match
             let ctx = if v >= 2 then get_ctx r else None in
             (get_payload op r, ctx)
@@ -395,13 +398,15 @@ let decode_body ~version:v ~crc body =
     end
   end)
 
+let decode_body ~version ~crc body = decode_range ~version ~crc body ~off:0 ~len:(String.length body)
+
 let decode_ctx s =
   match decode_header s with
   | Result.Error e -> Result.Error e
   | Ok (v, body_len, crc) ->
     let actual = String.length s - header_bytes in
     if actual <> body_len then Result.Error (Length_mismatch { declared = body_len; actual })
-    else decode_body ~version:v ~crc (String.sub s header_bytes body_len)
+    else decode_range ~version:v ~crc s ~off:header_bytes ~len:body_len
 
 let decode s = Result.map fst (decode_ctx s)
 

@@ -22,7 +22,15 @@
     carry the sender's {!Wb_obs.Span.context} and the receiver's spans
     join the caller's trace.  Version-1 bodies are payload-only and still
     decode (with context [None] — the receiver roots its own spans), which
-    is the old-peer compatibility contract. *)
+    is the old-peer compatibility contract.
+
+    {b Cost.}  Encoding writes the payload once into a {!Wb_support.Bitbuf}
+    writer, whose bytes already are the packed layout, then makes one
+    allocation for the frame: the header fields are set in place, the
+    packed bits blitted in and the CRC taken over the body range.
+    Decoding checks the CRC, lengths, opcode, padding and trailing bits on
+    the received string itself and reads the payload bits in place; the
+    only allocations are the decoded frame's own fields. *)
 
 val version : int
 (** The version writers emit (2). *)
@@ -101,14 +109,18 @@ type error =
 val encode : ?ctx:Wb_obs.Span.context -> frame -> string
 (** Version-2 encoding; [ctx] (default none) is the trace context carried
     in the prelude.
-    @raise Invalid_argument if the frame would exceed {!max_frame_bytes}
-    or [ctx] holds a non-positive id. *)
+    @raise Invalid_argument if the frame would exceed {!max_frame_bytes}.
+    @raise Invalid_argument if a natural field of the frame (a round,
+    position, node id, count, ...) is negative.
+    @raise Invalid_argument if [ctx] holds an id that is not positive or
+    is [2^48] or more ({!Wb_obs.Span} ids are 48 bits, and {!decode_ctx}
+    rejects wider ones). *)
 
 val encode_v1 : frame -> string
 (** Version-1 encoding (no context prelude) — what an old peer sends; the
     compatibility tests pin [decode (encode_v1 f) = Ok f].
     @raise Invalid_argument on frames that do not exist in version 1
-    (TELEMETRY). *)
+    (TELEMETRY, METRICS), and on the frames {!encode} refuses. *)
 
 val decode : string -> (frame, error) result
 (** Decode one complete frame (header + body, nothing trailing),
@@ -125,7 +137,8 @@ val decode_header : string -> (int * int * int, error) result
 
 val decode_body :
   version:int -> crc:int -> string -> (frame * Wb_obs.Span.context option, error) result
-(** Decode a body whose header declared [version] and [crc]. *)
+(** Decode a body whose header declared [version] and [crc]: the same
+    checks and the same in-place reader as {!decode_ctx}, at offset 0. *)
 
 val crc32 : string -> int
 

@@ -10,26 +10,41 @@ module Writer = struct
 
   let length_bits w = w.len
 
-  let ensure w =
-    if w.len >= 8 * Bytes.length w.bits then begin
-      let bigger = Bytes.make (2 * Bytes.length w.bits) '\000' in
-      Bytes.blit w.bits 0 bigger 0 (Bytes.length w.bits);
+  (* Grow (by doubling) until [extra] more bits fit. *)
+  let reserve w extra =
+    let need = w.len + extra in
+    let cap = Bytes.length w.bits in
+    if need > 8 * cap then begin
+      let size = ref (2 * cap) in
+      while need > 8 * !size do size := 2 * !size done;
+      let bigger = Bytes.make !size '\000' in
+      Bytes.blit w.bits 0 bigger 0 cap;
       w.bits <- bigger
     end
 
-  let bit w b =
-    ensure w;
+  (* Append one bit into reserved capacity.  Bits are LSB-first within each
+     byte, and the buffer starts zeroed, so only set bits need a store. *)
+  let push w b =
     if b then begin
-      let byte = Char.code (Bytes.get w.bits (w.len / 8)) in
-      Bytes.set w.bits (w.len / 8) (Char.chr (byte lor (1 lsl (w.len mod 8))))
+      let i = w.len lsr 3 in
+      Bytes.set w.bits i (Char.unsafe_chr (Char.code (Bytes.get w.bits i) lor (1 lsl (w.len land 7))))
     end;
     w.len <- w.len + 1
+
+  let bit w b =
+    reserve w 1;
+    push w b
+
+  let bools w bits =
+    reserve w (Array.length bits);
+    Array.iter (push w) bits
 
   let fixed w ~width v =
     if width < 0 || width > 62 then invalid_arg "Bitbuf.fixed: width";
     if v < 0 || (width < 62 && v lsr width <> 0) then invalid_arg "Bitbuf.fixed: value out of range";
+    reserve w width;
     for i = width - 1 downto 0 do
-      bit w ((v lsr i) land 1 = 1)
+      push w ((v lsr i) land 1 = 1)
     done
 
   let gamma w v =
@@ -50,22 +65,48 @@ module Writer = struct
     delta w (v + 1)
 
   let contents w = Array.init w.len (fun i -> Char.code (Bytes.get w.bits (i / 8)) land (1 lsl (i mod 8)) <> 0)
+
+  let blit_packed w dst ~dst_off = Bytes.blit w.bits 0 dst dst_off ((w.len + 7) / 8)
 end
 
 module Reader = struct
   exception Underflow
 
-  type t = { data : bool array; mutable pos : int }
+  (* Message payloads arrive as bool arrays; wire frames as packed bytes
+     read in place from [off]. *)
+  type source = Bits of bool array | Packed of { s : string; off : int }
 
-  let of_bits data = { data; pos = 0 }
+  type t = { src : source; len : int; mutable pos : int }
 
-  let remaining r = Array.length r.data - r.pos
+  let of_bits data = { src = Bits data; len = Array.length data; pos = 0 }
 
-  let bit r =
-    if r.pos >= Array.length r.data then raise Underflow;
-    let b = r.data.(r.pos) in
-    r.pos <- r.pos + 1;
-    b
+  let of_packed s ~off ~nbits =
+    if off < 0 || nbits < 0 || off + ((nbits + 7) / 8) > String.length s then
+      invalid_arg "Bitbuf.Reader.of_packed: range outside the string";
+    { src = Packed { s; off }; len = nbits; pos = 0 }
+
+  let remaining r = r.len - r.pos
+
+  let packed_bit s off p = Char.code s.[off + (p lsr 3)] land (1 lsl (p land 7)) <> 0
+
+  (* Inlined, so the Elias decoders below pay no call per bit: with the
+     source match, [bit] is past the size the compiler inlines on its own. *)
+  let[@inline] bit r =
+    let p = r.pos in
+    if p >= r.len then raise Underflow;
+    r.pos <- p + 1;
+    match r.src with
+    | Bits a -> a.(p)
+    | Packed { s; off } -> packed_bit s off p
+
+  let bools r k =
+    if k < 0 then invalid_arg "Bitbuf.Reader.bools: negative length";
+    if k > remaining r then raise Underflow;
+    let p = r.pos in
+    r.pos <- p + k;
+    match r.src with
+    | Bits a -> Array.sub a p k
+    | Packed { s; off } -> Array.init k (fun i -> packed_bit s off (p + i))
 
   let fixed r ~width =
     let v = ref 0 in

@@ -370,7 +370,92 @@ let ctx_tests =
               (match Wire.encode ~ctx (Wire.Activate_query { round = 1 }) with
               | exception Invalid_argument _ -> true
               | _ -> false))
-          [ { Obs.Span.trace = 0; span = 3 }; { Obs.Span.trace = 3; span = 0 } ]) ]
+          [ { Obs.Span.trace = 0; span = 3 }; { Obs.Span.trace = 3; span = 0 } ]);
+    Alcotest.test_case "a context id decode would reject is refused at encode time" `Quick
+      (fun () ->
+        (* span ids are 48 bits: decode_ctx calls a wider id an overflow, so
+           encode must not produce one *)
+        List.iter
+          (fun ctx ->
+            check "raises" true
+              (match Wire.encode ~ctx (Wire.Activate_query { round = 1 }) with
+              | exception Invalid_argument _ -> true
+              | _ -> false))
+          [ { Obs.Span.trace = 1 lsl 50; span = 3 };
+            { Obs.Span.trace = 3; span = 1 lsl 48 };
+            { Obs.Span.trace = max_int; span = max_int } ];
+        let top = { Obs.Span.trace = (1 lsl 48) - 1; span = (1 lsl 48) - 1 } in
+        let f = Wire.Activate_query { round = 1 } in
+        check "the widest id round-trips" true
+          (Wire.decode_ctx (Wire.encode ~ctx:top f) = Ok (f, Some top)));
+    Alcotest.test_case "a negative field raises Invalid_argument at encode time" `Quick
+      (fun () ->
+        List.iter
+          (fun f ->
+            check (Wire.opcode_name f) true
+              (match Wire.encode f with exception Invalid_argument _ -> true | _ -> false);
+            check (Wire.opcode_name f ^ " (v1)") true
+              (match Wire.encode_v1 f with exception Invalid_argument _ -> true | _ -> false))
+          [ Wire.Activate_query { round = -1 };
+            Wire.Write_grant { round = 1; position = -5 };
+            Wire.Hello { session = "s"; protocol = "p"; node_pref = Some (-1) };
+            Wire.Hello_ack { session = "s"; node = 0; n = 2; neighbors = [| 1; -1 |]; bound = 3 };
+            Wire.Board_delta { from_pos = 0; generation = 0; messages = [ (-2, [||]) ] } ]) ]
+
+(* --- wire codec: golden bytes -------------------------------------------- *)
+
+(* Every other wire test is a round trip, which a codec that changed its
+   bytes in both directions at once would still pass.  This corpus pins the
+   bytes themselves: one frame per opcode, each encoded as version 2 with
+   and without a trace context and, where the opcode exists there, as
+   version 1; an empty and a 300-message BOARD-DELTA; payloads well past
+   64 bits.  The digest was taken from the bool-array codec that preceded
+   the in-place one, so it fails on any drift in the format: header, field
+   order, bit order within a byte or padding. *)
+let golden_frames =
+  let bits k = Array.init k (fun i -> (i * 7 + i / 3) mod 5 < 2) in
+  [ Wire.Hello { session = "main"; protocol = "bfs"; node_pref = None };
+    Wire.Hello { session = "s\000binary\255"; protocol = "two-cliques"; node_pref = Some 41 };
+    Wire.Hello_ack { session = "main"; node = 3; n = 16; neighbors = [| 0; 7; 15 |]; bound = 37 };
+    Wire.Activate_query { round = 1 };
+    Wire.Activate_reply { round = 12; activate = true };
+    Wire.Compose_request { round = 40 };
+    Wire.Compose_reply { round = 7; payload = [| true; false; true; true |] };
+    Wire.Compose_reply { round = 1_000_000; payload = bits 200 };
+    Wire.Write_grant { round = 3; position = 123_456 };
+    Wire.Board_delta { from_pos = 0; generation = 0; messages = [] };
+    Wire.Board_delta
+      { from_pos = 17;
+        generation = 3;
+        messages = List.init 300 (fun i -> ((i * 13) mod 512, bits (i mod 70))) };
+    Wire.Run_end { outcome = "success"; detail = "forest[0;1]"; rounds = 9 };
+    Wire.Error { code = Wire.Node_taken; detail = "node 3 already claimed" };
+    Wire.Telemetry_request { tail = 4096 };
+    Wire.Telemetry_reply
+      { metrics = "{\"counters\":{\"engine.runs\":3}}";
+        events = [ "{\"ev\":\"round_start\",\"round\":1}"; "" ];
+        dropped = 12 };
+    Wire.Metrics_request;
+    Wire.Metrics_reply { body = "# TYPE x counter\nx_total 1\n# EOF\n" } ]
+
+let golden_contexts =
+  [ { Obs.Span.trace = 0xABCDEF; span = 42 };
+    { Obs.Span.trace = (1 lsl 48) - 1; span = 1 } ]
+
+let golden_tests =
+  [ Alcotest.test_case "the golden corpus encodes to the pinned bytes" `Quick (fun () ->
+        let encodings f =
+          (Wire.encode f :: List.map (fun ctx -> Wire.encode ~ctx f) golden_contexts)
+          @ match Wire.encode_v1 f with s -> [ s ] | exception Invalid_argument _ -> []
+        in
+        let all = List.concat_map encodings golden_frames in
+        Alcotest.(check int) "every opcode present" 14
+          (List.length (List.sort_uniq compare (List.map Wire.opcode_name golden_frames)));
+        (* 17 frames in v2 bare and under two contexts, and in v1 but for the
+           four v2-only ones *)
+        Alcotest.(check int) "encodings" ((17 * 4) - 4) (List.length all);
+        Alcotest.(check string) "digest" "85b3bf680906eb5e50e452cfc2b6b22f"
+          (Digest.to_hex (Digest.string (String.concat "" all)))) ]
 
 (* --- board generations under truncation (incremental readers) ---------- *)
 
@@ -951,6 +1036,7 @@ let suites =
     ("net.wire-prop", wire_prop_tests);
     ("net.wire-pinned", wire_pinned_tests);
     ("net.wire-ctx", ctx_tests);
+    ("net.wire-golden", golden_tests);
     ("net.board", board_tests);
     ("net.loopback", loopback_tests);
     ("net.faults", fault_tests);

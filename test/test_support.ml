@@ -168,6 +168,112 @@ let bitbuf_tests =
         Alcotest.(check int) "gamma" 1 (Bitbuf.Reader.gamma r);
         Alcotest.(check int) "delta" 1000 (Bitbuf.Reader.delta r)) ]
 
+(* The block operations against their bit-at-a-time definitions.  The
+   reference packing is the packed layout spelled out: bit [i] in byte
+   [i / 8] at position [i mod 8], padding zero. *)
+let pack_reference bits =
+  let b = Bytes.make ((Array.length bits + 7) / 8) '\000' in
+  Array.iteri
+    (fun i set ->
+      if set then Bytes.set_uint8 b (i / 8) (Bytes.get_uint8 b (i / 8) lor (1 lsl (i mod 8))))
+    bits;
+  Bytes.to_string b
+
+let bit_chunks = QCheck.(small_list (map Array.of_list (list_of_size Gen.(0 -- 150) bool)))
+
+(* A reader script: each step is one read, logged with its result, and the
+   first [Underflow] ends the log with the position it happened at. *)
+type read_op = Bit | Fixed of int | Nat | Bools of int
+
+let run_script r ops =
+  let remaining0 = Bitbuf.Reader.remaining r in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | op :: rest -> (
+      match
+        match op with
+        | Bit -> if Bitbuf.Reader.bit r then "1" else "0"
+        | Fixed width -> Printf.sprintf "f%d" (Bitbuf.Reader.fixed r ~width)
+        | Nat -> Printf.sprintf "n%d" (Bitbuf.Reader.nat r)
+        | Bools k ->
+          String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") (Bitbuf.Reader.bools r k)))
+      with
+      | v -> go (v :: acc) rest
+      | exception Bitbuf.Reader.Underflow ->
+        List.rev (Printf.sprintf "underflow@%d" (remaining0 - Bitbuf.Reader.remaining r) :: acc))
+  in
+  go [] ops
+
+let gen_script =
+  QCheck.Gen.(
+    list_size (0 -- 40)
+      (frequency
+         [ (3, return Bit); (2, map (fun w -> Fixed w) (0 -- 20)); (2, return Nat);
+           (2, map (fun k -> Bools k) (0 -- 40)) ]))
+
+let bitbuf_block_tests =
+  [ Prop.qtest
+      (QCheck.Test.make ~name:"Writer.bools equals a loop of Writer.bit" ~count:300 bit_chunks
+         (fun chunks ->
+           let wb = Bitbuf.Writer.create () and wl = Bitbuf.Writer.create () in
+           List.iter
+             (fun c ->
+               (* an odd bit between chunks keeps them off byte boundaries *)
+               Bitbuf.Writer.bit wb true;
+               Bitbuf.Writer.bit wl true;
+               Bitbuf.Writer.bools wb c;
+               Array.iter (Bitbuf.Writer.bit wl) c)
+             chunks;
+           Bitbuf.Writer.contents wb = Bitbuf.Writer.contents wl));
+    Prop.qtest
+      (QCheck.Test.make ~name:"blit_packed is the packed contents, padding zero" ~count:300
+         QCheck.(pair bit_chunks (int_range 0 5))
+         (fun (chunks, dst_off) ->
+           let w = Bitbuf.Writer.create () in
+           List.iter (Bitbuf.Writer.bools w) chunks;
+           let packed = pack_reference (Bitbuf.Writer.contents w) in
+           let n = String.length packed in
+           (* surround the target range with set bytes the blit must not touch *)
+           let dst = Bytes.make (dst_off + n + 2) '\255' in
+           Bitbuf.Writer.blit_packed w dst ~dst_off;
+           Bytes.sub_string dst dst_off n = packed
+           && Bytes.sub_string dst 0 dst_off = String.make dst_off '\255'
+           && Bytes.sub_string dst (dst_off + n) 2 = "\255\255"));
+    Prop.qtest
+      (QCheck.Test.make
+         ~name:"of_packed and of_bits read the same values and underflow at the same bit"
+         ~count:400
+         (QCheck.make
+            QCheck.Gen.(
+              triple (map Array.of_list (list_size (0 -- 120) bool)) (0 -- 3) gen_script))
+         (fun (bits, off, script) ->
+           (* junk before [off] and in the padding of the last byte must not
+              be read *)
+           let packed = Bytes.of_string (String.make off '\170' ^ pack_reference bits) in
+           let nbits = Array.length bits in
+           if nbits mod 8 <> 0 then begin
+             let last = Bytes.length packed - 1 in
+             Bytes.set_uint8 packed last (Bytes.get_uint8 packed last lor (0xff lsl (nbits mod 8) land 0xff))
+           end;
+           let rp = Bitbuf.Reader.of_packed (Bytes.to_string packed) ~off ~nbits in
+           run_script rp script = run_script (Bitbuf.Reader.of_bits bits) script));
+    Alcotest.test_case "bools underflows before consuming, on both sources" `Quick (fun () ->
+        List.iter
+          (fun (name, r) ->
+            ignore (Bitbuf.Reader.bit r);
+            Alcotest.check_raises name Bitbuf.Reader.Underflow (fun () ->
+                ignore (Bitbuf.Reader.bools r 10));
+            Alcotest.(check int) (name ^ " remaining") 8 (Bitbuf.Reader.remaining r);
+            Alcotest.(check int) (name ^ " rest") 8 (Array.length (Bitbuf.Reader.bools r 8)))
+          [ ("of_bits", Bitbuf.Reader.of_bits (Array.make 9 true));
+            ("of_packed", Bitbuf.Reader.of_packed "\255\001" ~off:0 ~nbits:9) ]);
+    Alcotest.test_case "of_packed refuses a range outside the string" `Quick (fun () ->
+        Alcotest.check_raises "past the end"
+          (Invalid_argument "Bitbuf.Reader.of_packed: range outside the string") (fun () ->
+            ignore (Bitbuf.Reader.of_packed "ab" ~off:1 ~nbits:9));
+        Alcotest.(check int) "exact fit" 9
+          (Bitbuf.Reader.remaining (Bitbuf.Reader.of_packed "abc" ~off:1 ~nbits:9))) ]
+
 let dynarray_tests =
   [ Alcotest.test_case "push/pop/last/truncate" `Quick (fun () ->
         let d = Dynarray.create () in
@@ -413,6 +519,7 @@ let suites =
   [ ("support.prng", prng_tests);
     ("support.bitset", bitset_tests);
     ("support.bitbuf", bitbuf_tests);
+    ("support.bitbuf-block", bitbuf_block_tests);
     ("support.dynarray", dynarray_tests);
     ("support.heap", heap_tests);
     ("support.perm", perm_tests);
