@@ -5,8 +5,7 @@
    survivor-configuration rate.  A differential mismatch aborts the bench:
    throughput numbers are meaningless once the contract is broken.
 
-   The core is a library function so bench/chaosbench.exe and
-   `wbctl bench` drive the same instances; [fast] trims the plan matrix
+   `wbctl bench chaos` drives this core; [fast] trims the plan matrix
    for CI gates.  [seed] is the campaign master seed (historical
    default 7), so two same-seed runs inject the identical fault
    schedule and the non-timing columns are reproducible. *)

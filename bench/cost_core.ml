@@ -5,8 +5,8 @@
    Any violation aborts the process: the bench doubles as the @check-cost
    gate, and a silently-recorded violation would read as a pass.
 
-   The core is a library function so bench/costbench.exe, `wbctl bench`
-   and `wbctl cost` drive the same measurement. *)
+   The core is a library function so `wbctl bench cost` and `wbctl cost`
+   drive the same measurement. *)
 
 module P = Wb_model
 module G = Wb_graph

@@ -6,8 +6,7 @@
    jobs (the determinism contract — the process aborts on any
    divergence); the timings land in the report.
 
-   The core is a library function so bench/explorebench.exe and
-   `wbctl bench` drive the same instances; [fast] trims the suite (one
+   `wbctl bench explore` drives this core; [fast] trims the suite (one
    repetition, no K7) for CI gates. *)
 
 module P = Wb_model

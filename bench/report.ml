@@ -1,5 +1,5 @@
-(* The shared bench report: every bench main (bench/main.exe sections,
-   explorebench, rpcbench, `wbctl bench`) emits its machine-readable
+(* The shared bench report: every bench driver (bench/main.exe sections
+   and `wbctl bench`) emits its machine-readable
    sidecar through this module, so all of them share one schema-versioned
    envelope —
 

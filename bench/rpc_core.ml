@@ -6,9 +6,9 @@
    the TELEMETRY frame.  The registry is reset before every instance so
    each row owns its distribution.
 
-   The core is a library function so bench/rpcbench.exe and `wbctl bench`
-   drive the same instances; [fast] trims the suite for CI gates.  [seed]
-   feeds the random-EOB instance graph (historical default 3). *)
+   `wbctl bench rpc` drives this core; [fast] trims the suite for CI
+   gates.  [seed] feeds the random-EOB instance graph (historical
+   default 3). *)
 
 module P = Wb_model
 module G = Wb_graph

@@ -190,8 +190,8 @@ let cost_arg =
     value & flag
     & info [ "cost" ]
         ~doc:
-          "Enable the Wb_cost per-round bit ledger (cost.* series in the metrics registry and \
-           cost_round trace events; also enabled by WB_COST=1)")
+          "Enable the communication-cost counters (cost.total_bits and cost.message_bits in the \
+           metrics registry; also enabled by WB_COST=1)")
 
 let apply_cost cost = if cost then Obs.Cost.enable ()
 

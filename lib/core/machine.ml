@@ -107,7 +107,6 @@ module Make (N : NODE) = struct
     max_rounds : int;
     views : View.t array;
     board : Board.t;
-    cost : Obs.Cost.ledger option;  (* None unless Wb_obs.Cost is enabled *)
     trace : Obs.Trace.t option;
     minter : Obs.Span.minter;
     root_ctx : Obs.Span.context option;  (* parent for per-round spans *)
@@ -171,7 +170,6 @@ module Make (N : NODE) = struct
       max_rounds = (match max_rounds with Some r -> r | None -> default_max_rounds size);
       views;
       board = Board.create size;
-      cost = Obs.Cost.create ();
       trace;
       minter;
       root_ctx = Option.map Obs.Span.context span_root;
@@ -229,7 +227,8 @@ module Make (N : NODE) = struct
     | Waiting -> Rankset.fold (fun a v -> Mix.combine a (v + 2)) (Mix.combine acc 1) t.active
     | Idle | Chosen _ -> Mix.combine acc 0
 
-  let emit t ev = match t.trace with None -> () | Some tr -> Obs.Trace.emit tr ev
+  (* Every event is built inside a [Some tr] arm rather than handed to a
+     helper that drops it, so an untraced run allocates no events. *)
 
   let span_start t ?parent ?attrs name =
     match t.trace with
@@ -268,22 +267,12 @@ module Make (N : NODE) = struct
       t.memory.(v) <- Some m;
       t.compose_count.(v) <- t.compose_count.(v) + 1;
       Obs.Metrics.incr m_composes;
-      emit t (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m }));
-    span_finish t sp
-
-  (* Close the ledger's open round and publish its summary while the round
-     number is still current — called at both places a round can end (the
-     next round's prefix, and [finish]) so the event keeps the stream's
-     round monotonicity.  Rounds with no writes stay silent. *)
-  let flush_cost t =
-    match t.cost with
-    | None -> ()
-    | Some l -> (
-      match Obs.Cost.flush_round l with
+      match t.trace with
       | None -> ()
-      | Some { Obs.Cost.round; writes; bits } ->
-        emit t
-          (Obs.Event.Cost_round { round; writes; bits; board_bits = Board.total_bits t.board }))
+      | Some tr ->
+        Obs.Trace.emit tr
+          (Obs.Event.Compose { node = v; round = t.round; bits = Message.size_bits m }));
+    span_finish t sp
 
   (* One deterministic round prefix: terminations, candidate collection,
      activations, synchronous recomposition.  Leaves the write candidates
@@ -293,13 +282,14 @@ module Make (N : NODE) = struct
      in synchronous models [compose] once per candidate. *)
   let round_prefix t =
     Obs.Prof.phase prof_round (fun () ->
-    flush_cost t;
     (* Close the previous round's span while its round number is still
        current, so span events keep the stream's round monotonicity. *)
     span_finish t t.span_round;
     t.span_round <- None;
     t.round <- t.round + 1;
-    emit t (Obs.Event.Round_start { round = t.round });
+    (match t.trace with
+    | None -> ()
+    | Some tr -> Obs.Trace.emit tr (Obs.Event.Round_start { round = t.round }));
     t.span_round <- span_start t ?parent:t.root_ctx "round";
     (* One write per round, so the last writer is the only active author:
        every earlier one was terminated at the start of the round after its
@@ -336,7 +326,9 @@ module Make (N : NODE) = struct
             t.activation_round.(v) <- t.round;
             t.fresh.(t.n_fresh) <- v;
             t.n_fresh <- t.n_fresh + 1;
-            emit t (Obs.Event.Activate { node = v; round = t.round });
+            (match t.trace with
+            | None -> ()
+            | Some tr -> Obs.Trace.emit tr (Obs.Event.Activate { node = v; round = t.round }));
             if frozen then compose_now t v
           end
           else begin
@@ -365,29 +357,32 @@ module Make (N : NODE) = struct
       stamp t (Mix.combine 0x42 t.mem_h.(v));
       t.write_round.(v) <- t.round;
       Obs.Metrics.incr m_writes;
-      let board_bits = Board.total_bits t.board in
+      let bits = Message.size_bits m and board_bits = Board.total_bits t.board in
       Obs.Metrics.set m_board_bits board_bits;
-      (match t.cost with
+      Obs.Cost.record ~bits;
+      match t.trace with
       | None -> ()
-      | Some l -> Obs.Cost.record l ~round:t.round ~bits:(Message.size_bits m) ~board_bits);
-      emit t (Obs.Event.Write { node = v; round = t.round; bits = Message.size_bits m; board_bits })
+      | Some tr ->
+        Obs.Trace.emit tr (Obs.Event.Write { node = v; round = t.round; bits; board_bits })
 
   let finish t outcome =
-    flush_cost t;
     let message_bits = Array.make t.size (-1) in
     Board.iter (fun m -> message_bits.(Message.author m) <- Message.size_bits m) t.board;
     Obs.Metrics.add m_rounds t.round;
     Array.iter (Obs.Metrics.observe m_compose_per_node) t.compose_count;
     (match outcome with Deadlock -> Obs.Metrics.incr m_deadlocks | _ -> ());
-    (match outcome with
-    | Deadlock -> emit t (Obs.Event.Deadlock_detected { round = t.round })
+    (match (outcome, t.trace) with
+    | Deadlock, Some tr -> Obs.Trace.emit tr (Obs.Event.Deadlock_detected { round = t.round })
     | _ -> ());
     (* Spans close before the terminal event: Run_end stays last. *)
     span_finish t t.span_round;
     t.span_round <- None;
     span_finish t t.span_root;
     t.span_root <- None;
-    emit t (Obs.Event.Run_end { round = t.round; outcome = outcome_tag outcome });
+    (match t.trace with
+    | None -> ()
+    | Some tr ->
+      Obs.Trace.emit tr (Obs.Event.Run_end { round = t.round; outcome = outcome_tag outcome }));
     let run =
       { outcome;
         writes = Board.authors_in_order t.board;
@@ -527,9 +522,6 @@ module Make (N : NODE) = struct
     t.z0 <- s.s_z0;
     t.z1 <- s.s_z1;
     blit_ints s.s_mem_h t.mem_h;
-    (* A rewound round must not be observed as a round summary; the ledger's
-       cumulative process totals keep counting replays by design. *)
-    (match t.cost with None -> () | Some l -> Obs.Cost.discard_round l);
     (* A restore rewinds logical time, so stopping the open round span here
        would emit a stop at an earlier round than its start; drop it
        unstopped instead (the exporters tolerate unclosed spans). *)

@@ -158,7 +158,7 @@ let of_fd ?(timeout = 5.0) ~peer fd =
       stats.recv_bytes <- stats.recv_bytes + Wire.header_bytes;
       match Wire.decode_header (Bytes.unsafe_to_string header) with
       | Error e -> Error (Bad_frame e)
-      | Ok (version, body_len, crc) -> (
+      | Ok (body_len, crc) -> (
         let body = Bytes.create body_len in
         match read_exact fd body body_len with
         | `Eof -> Error Closed
@@ -166,7 +166,7 @@ let of_fd ?(timeout = 5.0) ~peer fd =
         | `Ok -> (
           Obs.Metrics.add Metrics.bytes_received body_len;
           stats.recv_bytes <- stats.recv_bytes + body_len;
-          match Wire.decode_body ~version ~crc (Bytes.unsafe_to_string body) with
+          match Wire.decode_body ~crc (Bytes.unsafe_to_string body) with
           | Ok pair -> Ok pair
           | Error e -> Error (Bad_frame e))))
   in

@@ -1,7 +1,6 @@
 module Bitbuf = Wb_support.Bitbuf
 
 let version = 2
-let min_version = 1
 let max_frame_bytes = 1 lsl 20
 let header_bytes = 9
 
@@ -287,10 +286,8 @@ let read_be32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-(* The version-2 bitstream prefixes the payload with a trace-context
-   prelude: one presence bit, then (trace, span) as naturals when set.
-   Version-1 bodies are payload-only, so every v1 frame decodes with no
-   context — the compatibility contract the old-peer tests pin. *)
+(* The bitstream prefixes the payload with a trace-context prelude: one
+   presence bit, then (trace, span) as naturals when set. *)
 
 let put_ctx w = function
   | None -> Bitbuf.Writer.bit w false
@@ -321,12 +318,10 @@ let prof_decode = Wb_obs.Prof.site "wire.decode"
    already the packed layout; the frame is then one [Bytes] of exact size
    with the header fields set in place, the packed bits blitted behind
    them and the CRC taken over the body range. *)
-let encode_at ~version:v ?ctx frame =
+let encode ?ctx frame =
   Wb_obs.Prof.phase prof_encode (fun () ->
-  if v = 1 && opcode frame > 10 then
-    invalid_arg (Printf.sprintf "Wire.encode: %s frame has no version-1 encoding" (opcode_name frame));
   let w = Bitbuf.Writer.create () in
-  if v >= 2 then put_ctx w ctx;
+  put_ctx w ctx;
   put_payload w frame;
   let nbits = Bitbuf.Writer.length_bits w in
   let body_len = 5 + ((nbits + 7) / 8) in
@@ -334,7 +329,7 @@ let encode_at ~version:v ?ctx frame =
     invalid_arg (Printf.sprintf "Wire.encode: %s frame exceeds %d bytes" (opcode_name frame)
                    max_frame_bytes);
   let b = Bytes.create (header_bytes + body_len) in
-  Bytes.set_uint8 b 0 v;
+  Bytes.set_uint8 b 0 version;
   Bytes.set_int32_be b 1 (Int32.of_int body_len);
   Bytes.set_uint8 b header_bytes (opcode frame);
   Bytes.set_int32_be b (header_bytes + 1) (Int32.of_int nbits);
@@ -343,30 +338,27 @@ let encode_at ~version:v ?ctx frame =
   Bytes.set_int32_be b 5 (Int32.of_int (crc32_range b ~off:header_bytes ~len:body_len));
   Bytes.unsafe_to_string b)
 
-let encode ?ctx frame = encode_at ~version ?ctx frame
-let encode_v1 frame = encode_at ~version:1 frame
-
 let decode_header s =
   if String.length s < header_bytes then Result.Error (Short_frame (String.length s))
   else begin
     let v = Char.code s.[0] in
-    if v < min_version || v > version then Result.Error (Bad_version v)
+    if v <> version then Result.Error (Bad_version v)
     else begin
       let body_len = read_be32 s 1 in
       if body_len > max_frame_bytes then Result.Error (Oversized body_len)
-      else Ok (v, body_len, read_be32 s 5)
+      else Ok (body_len, read_be32 s 5)
     end
   end
 
 (* Decode the [len]-byte body of [s] from [off], in place: every check
    reads [s] directly and the payload reader walks the packed bits. *)
-let decode_range ~version:v ~crc s ~off ~len =
+let decode_range ~crc s ~off ~len =
   Wb_obs.Prof.phase prof_decode (fun () ->
   if crc32_range (Bytes.unsafe_of_string s) ~off ~len <> crc then Result.Error Crc_mismatch
   else if len < 5 then Result.Error (Malformed_body "body shorter than opcode header")
   else begin
     let op = Char.code s.[off] in
-    if op < 1 || op > max_opcode || (v = 1 && op > 10) then Result.Error (Unknown_opcode op)
+    if op < 1 || op > max_opcode then Result.Error (Unknown_opcode op)
     else begin
       let nbits = read_be32 s (off + 1) in
       let packed = len - 5 in
@@ -382,7 +374,7 @@ let decode_range ~version:v ~crc s ~off ~len =
         else begin
           let r = Bitbuf.Reader.of_packed s ~off:(off + 5) ~nbits in
           match
-            let ctx = if v >= 2 then get_ctx r else None in
+            let ctx = get_ctx r in
             (get_payload op r, ctx)
           with
           | frame, ctx ->
@@ -398,15 +390,15 @@ let decode_range ~version:v ~crc s ~off ~len =
     end
   end)
 
-let decode_body ~version ~crc body = decode_range ~version ~crc body ~off:0 ~len:(String.length body)
+let decode_body ~crc body = decode_range ~crc body ~off:0 ~len:(String.length body)
 
 let decode_ctx s =
   match decode_header s with
   | Result.Error e -> Result.Error e
-  | Ok (v, body_len, crc) ->
+  | Ok (body_len, crc) ->
     let actual = String.length s - header_bytes in
     if actual <> body_len then Result.Error (Length_mismatch { declared = body_len; actual })
-    else decode_range ~version:v ~crc s ~off:header_bytes ~len:body_len
+    else decode_range ~crc s ~off:header_bytes ~len:body_len
 
 let decode s = Result.map fst (decode_ctx s)
 

@@ -3,7 +3,7 @@
     A frame on the wire is a 9-byte header followed by a body:
 
     {v
-    byte 0        protocol version (1 or 2; writers emit 2)
+    byte 0        protocol version (2)
     bytes 1..4    body length in bytes, big-endian
     bytes 5..8    CRC-32 (IEEE) of the body, big-endian
     bytes 9..     body: opcode byte | u32be payload bit count | packed bits
@@ -20,9 +20,9 @@
     {b Version 2} prefixes the bitstream with an optional trace context —
     one presence bit, then [(trace, span)] as naturals — so every RPC can
     carry the sender's {!Wb_obs.Span.context} and the receiver's spans
-    join the caller's trace.  Version-1 bodies are payload-only and still
-    decode (with context [None] — the receiver roots its own spans), which
-    is the old-peer compatibility contract.
+    join the caller's trace.  Version 2 is the only version: a frame with
+    any other version byte, the payload-only version 1 included, is
+    {!Bad_version}.
 
     {b Cost.}  Encoding writes the payload once into a {!Wb_support.Bitbuf}
     writer, whose bytes already are the packed layout, then makes one
@@ -33,10 +33,7 @@
     only allocations are the decoded frame's own fields. *)
 
 val version : int
-(** The version writers emit (2). *)
-
-val min_version : int
-(** The oldest version {!decode} accepts (1). *)
+(** The one version writers emit and {!decode} accepts (2). *)
 
 val max_frame_bytes : int
 (** Upper bound on the body length accepted by {!decode} and the transport
@@ -107,7 +104,7 @@ type error =
   | Malformed_body of string
 
 val encode : ?ctx:Wb_obs.Span.context -> frame -> string
-(** Version-2 encoding; [ctx] (default none) is the trace context carried
+(** Encode one frame; [ctx] (default none) is the trace context carried
     in the prelude.
     @raise Invalid_argument if the frame would exceed {!max_frame_bytes}.
     @raise Invalid_argument if a natural field of the frame (a round,
@@ -116,28 +113,21 @@ val encode : ?ctx:Wb_obs.Span.context -> frame -> string
     is [2^48] or more ({!Wb_obs.Span} ids are 48 bits, and {!decode_ctx}
     rejects wider ones). *)
 
-val encode_v1 : frame -> string
-(** Version-1 encoding (no context prelude) — what an old peer sends; the
-    compatibility tests pin [decode (encode_v1 f) = Ok f].
-    @raise Invalid_argument on frames that do not exist in version 1
-    (TELEMETRY, METRICS), and on the frames {!encode} refuses. *)
-
 val decode : string -> (frame, error) result
 (** Decode one complete frame (header + body, nothing trailing),
     discarding any trace context. *)
 
 val decode_ctx : string -> (frame * Wb_obs.Span.context option, error) result
-(** Like {!decode}, also yielding the trace context ([None] for version-1
-    frames and version-2 frames without one). *)
+(** Like {!decode}, also yielding the trace context ([None] for frames
+    encoded without one). *)
 
-val decode_header : string -> (int * int * int, error) result
+val decode_header : string -> (int * int, error) result
 (** [decode_header h] parses the {!header_bytes}-byte prefix into
-    [(version, body_length, crc)], validating version and size bound — the
+    [(body_length, crc)], validating version and size bound — the
     streaming entry point for socket transports. *)
 
-val decode_body :
-  version:int -> crc:int -> string -> (frame * Wb_obs.Span.context option, error) result
-(** Decode a body whose header declared [version] and [crc]: the same
+val decode_body : crc:int -> string -> (frame * Wb_obs.Span.context option, error) result
+(** Decode a body whose header declared [crc]: the same
     checks and the same in-place reader as {!decode_ctx}, at offset 0. *)
 
 val crc32 : string -> int

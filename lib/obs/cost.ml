@@ -1,12 +1,11 @@
-(* The communication-cost ledger, with the same zero-cost discipline as
-   [Prof]: when disabled (the default), [create] is one atomic load
-   returning [None] and the kernel's per-write hook is a [match] on that
-   [None] — no registration, no histogram update — so a never-enabled
-   process exposes no [cost.*] series at all.  The instruments are
-   process-global singletons registered lazily on the first enabled run;
-   parallel exploration workers may race the first fill, so the winner is
-   published by compare-and-set and losers adopt it (the registry's
-   idempotent [register] hands every contender the same series anyway). *)
+(* The communication-cost counters, with the same zero-cost discipline as
+   [Prof]: when disabled (the default), [record] is one atomic load — no
+   registration, no histogram update — so a never-enabled process exposes
+   no [cost.*] series at all.  The instruments are process-global
+   singletons registered lazily on the first enabled write; parallel
+   exploration workers may race the first fill, so the winner is published
+   by compare-and-set and losers adopt it (the registry's idempotent
+   [register] hands every contender the same series anyway). *)
 
 let enabled =
   Atomic.make
@@ -18,14 +17,7 @@ let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 let is_enabled () = Atomic.get enabled
 
-type instruments = {
-  total_bits : Metrics.counter;
-  writes : Metrics.counter;
-  board_bits : Metrics.gauge;
-  message_bits : Metrics.histogram;
-  round_bits : Metrics.histogram;
-  round_writes : Metrics.histogram;
-}
+type instruments = { total_bits : Metrics.counter; message_bits : Metrics.histogram }
 
 let inst_cell : instruments option Atomic.t = Atomic.make None
 
@@ -35,73 +27,18 @@ let instruments () =
   | None ->
     let i =
       { total_bits = Metrics.counter ~help:"bits appended to boards (cost ledger)" "cost.total_bits";
-        writes = Metrics.counter ~help:"messages accounted by the cost ledger" "cost.writes";
-        board_bits = Metrics.gauge ~help:"board total bits after last accounted write" "cost.board_bits";
         message_bits =
-          Metrics.histogram ~help:"encode width per message, bits" "cost.message_bits";
-        round_bits =
-          Metrics.histogram ~help:"bits appended per round (rounds with writes)" "cost.round_bits";
-        round_writes =
-          Metrics.histogram ~help:"writes granted per round (rounds with writes)"
-            "cost.round_writes" }
+          Metrics.histogram ~help:"encode width per message, bits" "cost.message_bits" }
     in
     if Atomic.compare_and_set inst_cell None (Some i) then i
     else Option.get (Atomic.get inst_cell)
 
-type ledger = {
-  inst : instruments;
-  mutable round : int;
-  mutable cur_bits : int;
-  mutable cur_writes : int;
-  mutable total_bits : int;
-  mutable total_writes : int;
-}
-
-let create () =
-  if not (Atomic.get enabled) then None
-  else
-    Some
-      { inst = instruments ();
-        round = 0;
-        cur_bits = 0;
-        cur_writes = 0;
-        total_bits = 0;
-        total_writes = 0 }
-
-let record l ~round ~bits ~board_bits =
-  l.round <- round;
-  l.cur_bits <- l.cur_bits + bits;
-  l.cur_writes <- l.cur_writes + 1;
-  l.total_bits <- l.total_bits + bits;
-  l.total_writes <- l.total_writes + 1;
-  Metrics.add l.inst.total_bits bits;
-  Metrics.incr l.inst.writes;
-  Metrics.set l.inst.board_bits board_bits;
-  Metrics.observe l.inst.message_bits bits
-
-type round_summary = { round : int; writes : int; bits : int }
-
-let flush_round l =
-  if l.cur_writes = 0 then None
-  else begin
-    let summary = { round = l.round; writes = l.cur_writes; bits = l.cur_bits } in
-    Metrics.observe l.inst.round_bits l.cur_bits;
-    Metrics.observe l.inst.round_writes l.cur_writes;
-    l.cur_bits <- 0;
-    l.cur_writes <- 0;
-    Some summary
+let record ~bits =
+  if Atomic.get enabled then begin
+    let i = instruments () in
+    Metrics.add i.total_bits bits;
+    Metrics.observe i.message_bits bits
   end
-
-(* A backtracking explorer rewinds logical time mid-round; the open
-   accumulator would attribute the replayed writes to the wrong round, so a
-   restore drops it (the cumulative totals keep counting every write the
-   process performed, replays included). *)
-let discard_round l =
-  l.cur_bits <- 0;
-  l.cur_writes <- 0
-
-let total_bits l = l.total_bits
-let total_writes l = l.total_writes
 
 (* ---- theorem-bound certificates --------------------------------------- *)
 

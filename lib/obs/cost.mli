@@ -1,13 +1,14 @@
-(** The communication-cost observatory: a per-round bit ledger the
+(** The communication-cost observatory: process-global bit counters the
     execution kernel feeds, and closed-form theorem certificates protocols
     declare.
 
-    {b Zero cost when off.}  Like {!Prof}, the ledger is opt-in ({!enable},
-    or [WB_COST=1] in the environment): a never-enabled process registers no
-    [cost.*] series and pays one atomic load per run plus one [match] per
-    write.  When enabled, every board append feeds the process-global
-    [cost.*] counters/gauge/histograms and the kernel emits one
-    [Event.Cost_round] per round with writes.
+    {b Zero cost when off.}  Like {!Prof}, the counters are opt-in
+    ({!enable}, or [WB_COST=1] in the environment): a never-enabled process
+    registers no [cost.*] series and pays one atomic load per write.  When
+    enabled, every board append adds its width to the [cost.total_bits]
+    counter and observes it in the [cost.message_bits] histogram.  There is
+    no per-round summary: a round grants exactly one write, so the trace's
+    [Write] event already is one.
 
     {b Certificates.}  A {!certificate} states a protocol's paper bound as
     an executable envelope — max bits any single message may cost at size
@@ -19,33 +20,10 @@ val enable : unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool
 
-type ledger
-(** Per-run accumulator.  Allocate one per execution ({!create}); feed it
-    from the single write path; flush at round boundaries. *)
-
-val create : unit -> ledger option
-(** [None] unless the ledger is enabled — callers store the option and the
-    disabled path stays allocation-free. *)
-
-val record : ledger -> round:int -> bits:int -> board_bits:int -> unit
-(** Account one board append of [bits] in [round]; [board_bits] is the
-    board total after the append. *)
-
-type round_summary = { round : int; writes : int; bits : int }
-
-val flush_round : ledger -> round_summary option
-(** Close the open round: observe the per-round histograms and return the
-    summary, or [None] when the round saw no writes.  The caller turns the
-    summary into the [cost.round] trace event. *)
-
-val discard_round : ledger -> unit
-(** Drop the open round without observing it — what a backtracking restore
-    calls, since a rewound round would be misattributed. *)
-
-val total_bits : ledger -> int
-(** Cumulative bits this ledger accounted (all rounds, flushed or not). *)
-
-val total_writes : ledger -> int
+val record : bits:int -> unit
+(** Account one board append of [bits] — called from the kernel's single
+    write path.  Cumulative: a backtracking explorer's replayed writes
+    count again. *)
 
 (** {1 Theorem-bound certificates} *)
 

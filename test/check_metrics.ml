@@ -26,8 +26,8 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
 (* family series in a registry snapshot: any counter, gauge or histogram
-   named under "FAM." — prof only registers histograms, cost registers all
-   three kinds. *)
+   named under "FAM." — prof only registers histograms, cost a counter
+   and a histogram. *)
 let family_in_json ~family path body =
   let v =
     match J.of_string body with

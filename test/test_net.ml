@@ -63,12 +63,8 @@ let read_be32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-(* Reassemble a frame around a hand-tampered body, at the current version
-   (bodies produced by [Wire.encode] carry the v2 context prelude) or as a
-   version-1 frame (bare payload bits, no prelude). *)
+(* Reassemble a frame around a hand-tampered body. *)
 let reframe body = Printf.sprintf "\002%s%s%s" (be32 (String.length body)) (be32 (Wire.crc32 body)) body
-
-let reframe_v1 body = Printf.sprintf "\001%s%s%s" (be32 (String.length body)) (be32 (Wire.crc32 body)) body
 
 let expect_error name s pred =
   match Wire.decode s with
@@ -90,7 +86,7 @@ let wire_tests =
         expect_error "empty" "" (function Wire.Short_frame 0 -> true | _ -> false);
         let bad_version = "\009" ^ String.sub s 1 (String.length s - 1) in
         expect_error "version" bad_version (function Wire.Bad_version 9 -> true | _ -> false);
-        let oversized = "\001" ^ be32 (Wire.max_frame_bytes + 1) ^ String.sub s 5 4 in
+        let oversized = "\002" ^ be32 (Wire.max_frame_bytes + 1) ^ String.sub s 5 4 in
         expect_error "oversized" oversized (function
           | Wire.Oversized n -> n = Wire.max_frame_bytes + 1
           | _ -> false);
@@ -106,16 +102,11 @@ let wire_tests =
         let flipped = Bytes.of_string body in
         Bytes.set flipped 6 (Char.chr (Char.code (Bytes.get flipped 6) lxor 1));
         expect_error "crc catches a payload flip"
-          ("\001" ^ be32 (String.length body) ^ be32 (Wire.crc32 body) ^ Bytes.to_string flipped)
+          ("\002" ^ be32 (String.length body) ^ be32 (Wire.crc32 body) ^ Bytes.to_string flipped)
           (function Wire.Crc_mismatch -> true | _ -> false);
         let unknown_op = "\015" ^ be32 0 in
         expect_error "unknown opcode" (reframe unknown_op) (function
           | Wire.Unknown_opcode 15 -> true
-          | _ -> false);
-        (* the telemetry opcodes are v2-only: a v1 frame carrying one is
-           unknown, not misparsed *)
-        expect_error "telemetry opcode in a v1 frame" (reframe_v1 ("\011" ^ be32 0)) (function
-          | Wire.Unknown_opcode 11 -> true
           | _ -> false);
         let empty_body = "\003" ^ be32 0 in
         (* opcode 3 wants a round number; zero payload bits underflow. *)
@@ -330,15 +321,6 @@ let ctx_tests =
       (QCheck.Test.make ~name:"frames encoded without a context decode to none" ~count:200
          frame_arb (fun f -> Wire.decode_ctx (Wire.encode f) = Ok (f, None)));
     Prop.qtest
-      (QCheck.Test.make ~name:"version-1 encodings still decode, and never carry a context"
-         ~count:200 frame_arb (fun f ->
-           match f with
-           | Wire.Telemetry_request _ | Wire.Telemetry_reply _ | Wire.Metrics_request
-           | Wire.Metrics_reply _ ->
-             (* v2-only opcodes have no v1 encoding at all *)
-             (match Wire.encode_v1 f with exception Invalid_argument _ -> true | _ -> false)
-           | _ -> Wire.decode_ctx (Wire.encode_v1 f) = Ok (f, None)));
-    Prop.qtest
       (QCheck.Test.make
          ~name:"every strict prefix of a context-carrying frame is a typed error" ~count:200
          (QCheck.make
@@ -355,14 +337,24 @@ let ctx_tests =
     Alcotest.test_case "telemetry frames are version-2-only" `Quick (fun () ->
         List.iter
           (fun f ->
-            check (Wire.opcode_name f ^ " round-trips") true (Wire.decode (Wire.encode f) = Ok f);
-            check (Wire.opcode_name f ^ " has no v1 encoding") true
-              (match Wire.encode_v1 f with exception Invalid_argument _ -> true | _ -> false))
+            check (Wire.opcode_name f ^ " round-trips") true (Wire.decode (Wire.encode f) = Ok f))
           [ Wire.Telemetry_request { tail = 128 };
             Wire.Telemetry_reply
               { metrics = "{\"counters\":{}}"; events = [ "{\"ev\":\"x\"}" ]; dropped = 7 };
             Wire.Metrics_request;
             Wire.Metrics_reply { body = "# EOF\n" } ]);
+    Alcotest.test_case "a version-1 frame is refused as Bad_version 1" `Quick (fun () ->
+        (* Well-formed frames as a version-1 peer sent them (payload-only
+           body, valid CRC): ACTIVATE-QUERY round 1 and WRITE-GRANT round 3
+           at position 5. *)
+        List.iter
+          (fun s ->
+            check "decode" true (Wire.decode s = Error (Wire.Bad_version 1));
+            check "decode_header" true
+              (Wire.decode_header (String.sub s 0 Wire.header_bytes)
+              = Error (Wire.Bad_version 1)))
+          [ "\x01\x00\x00\x00\x06\xbd\x34\x77\x25\x03\x00\x00\x00\x04\x02";
+            "\x01\x00\x00\x00\x07\xbf\xfb\x24\x78\x07\x00\x00\x00\x0a\xc6\x01" ]);
     Alcotest.test_case "a zero context id is refused at encode time" `Quick (fun () ->
         List.iter
           (fun ctx ->
@@ -393,9 +385,7 @@ let ctx_tests =
         List.iter
           (fun f ->
             check (Wire.opcode_name f) true
-              (match Wire.encode f with exception Invalid_argument _ -> true | _ -> false);
-            check (Wire.opcode_name f ^ " (v1)") true
-              (match Wire.encode_v1 f with exception Invalid_argument _ -> true | _ -> false))
+              (match Wire.encode f with exception Invalid_argument _ -> true | _ -> false))
           [ Wire.Activate_query { round = -1 };
             Wire.Write_grant { round = 1; position = -5 };
             Wire.Hello { session = "s"; protocol = "p"; node_pref = Some (-1) };
@@ -406,12 +396,11 @@ let ctx_tests =
 
 (* Every other wire test is a round trip, which a codec that changed its
    bytes in both directions at once would still pass.  This corpus pins the
-   bytes themselves: one frame per opcode, each encoded as version 2 with
-   and without a trace context and, where the opcode exists there, as
-   version 1; an empty and a 300-message BOARD-DELTA; payloads well past
-   64 bits.  The digest was taken from the bool-array codec that preceded
-   the in-place one, so it fails on any drift in the format: header, field
-   order, bit order within a byte or padding. *)
+   bytes themselves: one frame per opcode, each encoded with and without a
+   trace context; an empty and a 300-message BOARD-DELTA; payloads well
+   past 64 bits.  The digest was taken from the codec that still wrote
+   version 1 too, over its version-2 encodings, so it fails on any drift in
+   the format: header, field order, bit order within a byte or padding. *)
 let golden_frames =
   let bits k = Array.init k (fun i -> (i * 7 + i / 3) mod 5 < 2) in
   [ Wire.Hello { session = "main"; protocol = "bfs"; node_pref = None };
@@ -445,16 +434,14 @@ let golden_contexts =
 let golden_tests =
   [ Alcotest.test_case "the golden corpus encodes to the pinned bytes" `Quick (fun () ->
         let encodings f =
-          (Wire.encode f :: List.map (fun ctx -> Wire.encode ~ctx f) golden_contexts)
-          @ match Wire.encode_v1 f with s -> [ s ] | exception Invalid_argument _ -> []
+          Wire.encode f :: List.map (fun ctx -> Wire.encode ~ctx f) golden_contexts
         in
         let all = List.concat_map encodings golden_frames in
         Alcotest.(check int) "every opcode present" 14
           (List.length (List.sort_uniq compare (List.map Wire.opcode_name golden_frames)));
-        (* 17 frames in v2 bare and under two contexts, and in v1 but for the
-           four v2-only ones *)
-        Alcotest.(check int) "encodings" ((17 * 4) - 4) (List.length all);
-        Alcotest.(check string) "digest" "85b3bf680906eb5e50e452cfc2b6b22f"
+        (* 17 frames, bare and under two contexts *)
+        Alcotest.(check int) "encodings" (17 * 3) (List.length all);
+        Alcotest.(check string) "digest" "7102294a2a66733b2a663514db5e6362"
           (Digest.to_hex (Digest.string (String.concat "" all)))) ]
 
 (* --- board generations under truncation (incremental readers) ---------- *)

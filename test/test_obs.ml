@@ -352,7 +352,22 @@ let span_tests =
         Alcotest.(check int) "every end has a begin" 5 (count "e");
         let ts = List.filter_map (fun e -> Option.bind (J.member "ts" e) J.to_int) events in
         check "timestamps normalised to zero" true
-          (List.exists (fun t -> t = 0) ts && List.for_all (fun t -> t >= 0) ts)) ]
+          (List.exists (fun t -> t = 0) ts && List.for_all (fun t -> t >= 0) ts));
+    Alcotest.test_case "Chrome.merge write instants carry bits and the board total" `Quick
+      (fun () ->
+        let v =
+          Obs.Chrome.merge
+            [ ("run", [ E.Write { node = 2; round = 2; bits = 9; board_bits = 31 } ]) ]
+        in
+        let events = Option.get (J.to_list (J.get "traceEvents" v)) in
+        match List.filter (fun e -> J.to_str (J.get "name" e) = Some "write") events with
+        | [ w ] ->
+          let arg k =
+            Option.bind (J.member "args" w) (fun a -> Option.bind (J.member k a) J.to_int)
+          in
+          check "bits" true (arg "bits" = Some 9);
+          check "board_bits" true (arg "board_bits" = Some 31)
+        | ws -> Alcotest.failf "%d write instants, expected 1" (List.length ws)) ]
 
 (* --- engine stream: ordering invariants and exporter round-trips ------ *)
 
@@ -500,8 +515,8 @@ let engine_stream_tests =
           List.filter
             (function
               | E.Activate _ | E.Write _ | E.Deadlock_detected _ | E.Run_end _ -> true
-              | E.Round_start _ | E.Compose _ | E.Adversary_pick _ | E.Cost_round _
-              | E.Span_start _ | E.Span_stop _ -> false)
+              | E.Round_start _ | E.Compose _ | E.Adversary_pick _ | E.Span_start _
+              | E.Span_stop _ -> false)
             evs
         in
         check "skeleton equality" true (Report.events_of_run run = skeleton));
