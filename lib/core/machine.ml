@@ -1,6 +1,7 @@
 module Obs = Wb_obs
 module G = Wb_graph.Graph
 module Mix = Wb_support.Mix
+module Bits = Wb_support.Bitbuf.Bits
 module Rankset = Wb_support.Rankset
 
 type status = Awake | Active | Terminated | Dead
@@ -261,7 +262,7 @@ module Make (N : NODE) = struct
     | Some (m, local) ->
       t.locals.(v) <- local;
       (match t.mem_h.(v) with 0 -> () | h -> stamp t h);
-      let h = Mix.combine 0x4d (Mix.combine (Mix.bools ~seed:17 (Message.payload m)) v) in
+      let h = Mix.combine 0x4d (Mix.combine (Bits.hash ~seed:17 (Message.payload m)) v) in
       t.mem_h.(v) <- h;
       stamp t h;
       t.memory.(v) <- Some m;

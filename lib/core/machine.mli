@@ -167,8 +167,9 @@ module Make (N : NODE) : sig
       protocol two prefixes reaching the same multiset have identical
       futures, see {!Protocol.Traits}), the round, and the open candidate
       set when a choice is pending.  Maintained incrementally — O(1) per
-      status/board mutation, O(message bits) per composition — never by
-      re-serialising a snapshot.  Local node state is {e not} hashed: the
+      status/board mutation, O(message bytes) per composition (the packed
+      payload is hashed seven bytes per step) — never by re-serialising a
+      snapshot.  Local node state is {e not} hashed: the
       canonical explorer only digests protocols whose traits promise locals
       carry nothing beyond the hashed components.  Meaningful at [`Choices]
       and [`Done] points; equal digests identify equal configurations up to

@@ -1,4 +1,6 @@
-type t = { author : int; payload : bool array }
+module Bits = Wb_support.Bitbuf.Bits
+
+type t = { author : int; payload : Bits.t }
 
 let make ~author ~payload = { author; payload }
 
@@ -6,14 +8,16 @@ let author m = m.author
 
 let payload m = m.payload
 
-let size_bits m = Array.length m.payload
+let size_bits m = Bits.length m.payload
 
-let equal a b = a.author = b.author && a.payload = b.payload
+let equal a b = a.author = b.author && Bits.equal a.payload b.payload
 
 let reader m = Wb_support.Bitbuf.Reader.of_bits m.payload
 
-let of_writer ~author w = { author; payload = Wb_support.Bitbuf.Writer.contents w }
+let of_writer ~author w = { author; payload = Wb_support.Bitbuf.Writer.to_bits w }
 
 let pp ppf m =
   Format.fprintf ppf "#%d:" (m.author + 1);
-  Array.iter (fun b -> Format.pp_print_char ppf (if b then '1' else '0')) m.payload
+  for i = 0 to Bits.length m.payload - 1 do
+    Format.pp_print_char ppf (if Bits.get m.payload i then '1' else '0')
+  done

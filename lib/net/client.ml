@@ -7,7 +7,7 @@ type phase = Joining | Running of int | Finished of finished | Failed of string
 
 (* The protocol's [local] type is existential, so once the view is known we
    close over it and expose just the two board-driven operations. *)
-type driver = { wants : M.Board.t -> bool; compose : M.Board.t -> bool array }
+type driver = { wants : M.Board.t -> bool; compose : M.Board.t -> Wb_support.Bitbuf.Bits.t }
 
 type joined = {
   node : int;
@@ -61,7 +61,7 @@ let make_driver (module P : M.Protocol.S) view =
       (fun board ->
         let writer, l = P.compose view board !local in
         local := l;
-        Wb_support.Bitbuf.Writer.contents writer) }
+        Wb_support.Bitbuf.Writer.to_bits writer) }
 
 let fail t msg =
   t.phase <- Failed msg;

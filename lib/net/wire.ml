@@ -21,9 +21,9 @@ type frame =
   | Activate_query of { round : int }
   | Activate_reply of { round : int; activate : bool }
   | Compose_request of { round : int }
-  | Compose_reply of { round : int; payload : bool array }
+  | Compose_reply of { round : int; payload : Bitbuf.Bits.t }
   | Write_grant of { round : int; position : int }
-  | Board_delta of { from_pos : int; generation : int; messages : (int * bool array) list }
+  | Board_delta of { from_pos : int; generation : int; messages : (int * Bitbuf.Bits.t) list }
   | Run_end of { outcome : string; detail : string; rounds : int }
   | Error of { code : error_code; detail : string }
   | Telemetry_request of { tail : int }
@@ -80,9 +80,9 @@ let put_string w s =
   put_nat w (String.length s);
   String.iter (fun c -> Bitbuf.Writer.fixed w ~width:8 (Char.code c)) s
 
-let put_bools w bits =
-  put_nat w (Array.length bits);
-  Bitbuf.Writer.bools w bits
+let put_bits w bits =
+  put_nat w (Bitbuf.Bits.length bits);
+  Bitbuf.Writer.append_bits w bits
 
 let get_nat r = Bitbuf.Reader.nat r
 
@@ -91,10 +91,10 @@ let get_string r =
   if len * 8 > Bitbuf.Reader.remaining r then fail "string length overruns frame";
   String.init len (fun _ -> Char.chr (Bitbuf.Reader.fixed r ~width:8))
 
-let get_bools r =
+let get_bits r =
   let len = get_nat r in
   if len > Bitbuf.Reader.remaining r then fail "bit-string length overruns frame";
-  Bitbuf.Reader.bools r len
+  Bitbuf.Reader.read_bits r len
 
 (* ---- opcodes ---------------------------------------------------------- *)
 
@@ -191,7 +191,7 @@ let put_payload w = function
   | Compose_request { round } -> put_nat w round
   | Compose_reply { round; payload } ->
     put_nat w round;
-    put_bools w payload
+    put_bits w payload
   | Write_grant { round; position } ->
     put_nat w round;
     put_nat w position
@@ -202,7 +202,7 @@ let put_payload w = function
     List.iter
       (fun (author, payload) ->
         put_nat w author;
-        put_bools w payload)
+        put_bits w payload)
       messages
   | Run_end { outcome; detail; rounds } ->
     put_string w outcome;
@@ -243,7 +243,7 @@ let get_payload op r =
   | 5 -> Compose_request { round = get_nat r }
   | 6 ->
     let round = get_nat r in
-    Compose_reply { round; payload = get_bools r }
+    Compose_reply { round; payload = get_bits r }
   | 7 ->
     let round = get_nat r in
     Write_grant { round; position = get_nat r }
@@ -255,7 +255,7 @@ let get_payload op r =
     let messages =
       List.init count (fun _ ->
           let author = get_nat r in
-          (author, get_bools r))
+          (author, get_bits r))
     in
     Board_delta { from_pos; generation; messages }
   | 9 ->
@@ -427,7 +427,7 @@ let pp ppf frame =
     Format.fprintf ppf "ACTIVATE round=%d %b" round activate
   | Compose_request { round } -> Format.fprintf ppf "COMPOSE? round=%d" round
   | Compose_reply { round; payload } ->
-    Format.fprintf ppf "COMPOSE round=%d %d bits" round (Array.length payload)
+    Format.fprintf ppf "COMPOSE round=%d %d bits" round (Bitbuf.Bits.length payload)
   | Write_grant { round; position } ->
     Format.fprintf ppf "WRITE-GRANT round=%d position=%d" round position
   | Board_delta { from_pos; generation; messages } ->

@@ -11,7 +11,9 @@
 
     Payloads are encoded through {!Wb_support.Bitbuf} — naturals as
     self-delimiting Elias codes, strings as length-prefixed bytes, board
-    messages as (author, bit string) pairs — so the exact bit accounting of
+    messages as (author, bit string) pairs with the bit string a
+    {!Wb_support.Bitbuf.Bits.t}, the same packed value a
+    {!Wb_model.Message.t} holds — so the exact bit accounting of
     whiteboard messages survives the network unchanged.  Encodings are
     canonical: the padding bits of the last packed byte are zero and the
     payload consumes every declared bit, so [decode (encode f) = Ok f] and
@@ -27,10 +29,14 @@
     {b Cost.}  Encoding writes the payload once into a {!Wb_support.Bitbuf}
     writer, whose bytes already are the packed layout, then makes one
     allocation for the frame: the header fields are set in place, the
-    packed bits blitted in and the CRC taken over the body range.
+    packed bits blitted in and the CRC taken over the body range.  A
+    message payload goes into the writer a byte at a time, shifted into
+    place ({!Wb_support.Bitbuf.Writer.append_bits}), never a bit at a time.
     Decoding checks the CRC, lengths, opcode, padding and trailing bits on
     the received string itself and reads the payload bits in place; the
-    only allocations are the decoded frame's own fields. *)
+    only allocations are the decoded frame's own fields, a message payload
+    being one [(b + 7) / 8]-byte copy cut out of the frame by
+    {!Wb_support.Bitbuf.Reader.read_bits}. *)
 
 val version : int
 (** The one version writers emit and {!decode} accepts (2). *)
@@ -64,12 +70,18 @@ type frame =
   | Activate_reply of { round : int; activate : bool }
   | Compose_request of { round : int }
       (** server → client: (re)compose the node's message from the synced board. *)
-  | Compose_reply of { round : int; payload : bool array }
+  | Compose_reply of { round : int; payload : Wb_support.Bitbuf.Bits.t }
+      (** client → server: the node's message payload, packed. *)
   | Write_grant of { round : int; position : int }
       (** server → client: your message was appended at [position]. *)
-  | Board_delta of { from_pos : int; generation : int; messages : (int * bool array) list }
+  | Board_delta of {
+      from_pos : int;
+      generation : int;
+      messages : (int * Wb_support.Bitbuf.Bits.t) list;
+    }
       (** server → client: board messages [from_pos ..], as (author, payload)
-          pairs.  [generation] is {!Wb_model.Board.generation} of the source
+          pairs, each payload the board message's own packed bits.
+          [generation] is {!Wb_model.Board.generation} of the source
           board; a change with [from_pos > 0] means previously synced
           positions were rewritten and the replica is invalid. *)
   | Run_end of { outcome : string; detail : string; rounds : int }

@@ -1,5 +1,6 @@
 module W = Wb_support.Bitbuf.Writer
 module R = Wb_support.Bitbuf.Reader
+module Bits = Wb_support.Bitbuf.Bits
 module Nat = Wb_bignum.Nat
 
 let write_id w id =
@@ -36,12 +37,14 @@ let read_signed r =
   if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
 let write_payload w bits =
-  W.nat w (Array.length bits);
-  Array.iter (W.bit w) bits
+  W.nat w (Bits.length bits);
+  W.append_bits w bits
 
+(* [read_bits] checks the declared length against what remains before it
+   allocates, so a forged length raises [R.Underflow]. *)
 let read_payload r =
   let len = R.nat r in
-  Array.init len (fun _ -> R.bit r)
+  R.read_bits r len
 
 (* Elias delta of v costs |v| + 2|‌|v|| - 1 bits with |x| = width of x. *)
 let delta_bits v =

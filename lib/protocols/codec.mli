@@ -23,12 +23,16 @@ val read_signed : Wb_support.Bitbuf.Reader.t -> int
 val write_big : Wb_support.Bitbuf.Writer.t -> Wb_bignum.Nat.t -> unit
 val read_big : Wb_support.Bitbuf.Reader.t -> Wb_bignum.Nat.t
 
-val write_payload : Wb_support.Bitbuf.Writer.t -> bool array -> unit
+val write_payload : Wb_support.Bitbuf.Writer.t -> Wb_support.Bitbuf.Bits.t -> unit
 (** Length-prefixed embedding of a whole message payload — used by the
     reduction transformers, whose messages carry simulated inner-protocol
     messages verbatim. *)
 
-val read_payload : Wb_support.Bitbuf.Reader.t -> bool array
+val read_payload : Wb_support.Bitbuf.Reader.t -> Wb_support.Bitbuf.Bits.t
+(** Inverse of {!write_payload}.
+    @raise Wb_support.Bitbuf.Reader.Underflow if the declared length runs
+    past the end of the reader, before allocating anything. *)
+
 val payload_bits : int -> int
 (** Upper bound on the embedded size of a payload of [b] bits. *)
 

@@ -152,7 +152,7 @@ let transform (protocol : P.Protocol.t) : P.Protocol.t =
           recompose_all ();
           let writer, l = A.compose view board (Hashtbl.find locals m) in
           Hashtbl.replace locals m l;
-          P.Board.append board (P.Message.make ~author:m ~payload:(Wb_support.Bitbuf.Writer.contents writer)))
+          P.Board.append board (P.Message.of_writer ~author:m writer))
         views;
       A.output ~n:inner_n board
 

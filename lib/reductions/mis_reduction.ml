@@ -1,6 +1,7 @@
 module P = Wb_model
 module G = Wb_graph.Graph
 module W = Wb_support.Bitbuf.Writer
+module Bits = Wb_support.Bitbuf.Bits
 module Codec = Wb_protocols.Codec
 
 let gadget g ~i ~j =
@@ -32,7 +33,7 @@ let gadget_faithful g =
 let simulate_message (module A : P.Protocol.S) ~inner_n ~id ~neighbors =
   let view = P.View.of_parts ~id ~n:inner_n ~neighbors in
   let writer, _local = A.compose view (P.Board.create inner_n) (A.init view) in
-  Wb_support.Bitbuf.Writer.contents writer
+  Wb_support.Bitbuf.Writer.to_bits writer
 
 let transform ~make_inner : P.Protocol.t =
   let module Impl = struct
@@ -81,7 +82,7 @@ let transform ~make_inner : P.Protocol.t =
     let output ~n board =
       let inner_n = n + 1 in
       let (module A) = inner ~n in
-      let detached = Array.make n [||] and attached = Array.make n [||] in
+      let detached = Array.make n Bits.empty and attached = Array.make n Bits.empty in
       P.Board.iter
         (fun m ->
           let r = P.Message.reader m in

@@ -1,6 +1,7 @@
 module P = Wb_model
 module G = Wb_graph.Graph
 module W = Wb_support.Bitbuf.Writer
+module Bits = Wb_support.Bitbuf.Bits
 module Codec = Wb_protocols.Codec
 
 let gadget g ~s ~t =
@@ -24,7 +25,7 @@ let gadget_faithful g =
 let simulate_message (module A : P.Protocol.S) ~inner_n ~id ~neighbors =
   let view = P.View.of_parts ~id ~n:inner_n ~neighbors in
   let writer, _local = A.compose view (P.Board.create inner_n) (A.init view) in
-  Wb_support.Bitbuf.Writer.contents writer
+  Wb_support.Bitbuf.Writer.to_bits writer
 
 let transform (protocol : P.Protocol.t) : P.Protocol.t =
   let (module A) = protocol in
@@ -63,7 +64,7 @@ let transform (protocol : P.Protocol.t) : P.Protocol.t =
 
     let output ~n board =
       let inner_n = n + 1 in
-      let plain = Array.make n [||] and with_apex = Array.make n [||] in
+      let plain = Array.make n Bits.empty and with_apex = Array.make n Bits.empty in
       P.Board.iter
         (fun m ->
           let r = P.Message.reader m in

@@ -3,6 +3,47 @@ let width_of v =
   let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + 1) in
   go v 0
 
+module Bits = struct
+  (* [data] holds exactly [(len + 7) / 8] bytes, padding bits zero. *)
+  type t = { len : int; data : string }
+
+  let empty = { len = 0; data = "" }
+
+  let length b = b.len
+
+  let get b i =
+    if i < 0 || i >= b.len then invalid_arg "Bitbuf.Bits.get";
+    Char.code b.data.[i lsr 3] land (1 lsl (i land 7)) <> 0
+
+  let of_bools a =
+    let len = Array.length a in
+    let data = Bytes.make ((len + 7) / 8) '\000' in
+    Array.iteri
+      (fun i set ->
+        if set then Bytes.set_uint8 data (i lsr 3) (Bytes.get_uint8 data (i lsr 3) lor (1 lsl (i land 7))))
+      a;
+    { len; data = Bytes.unsafe_to_string data }
+
+  let equal a b = a.len = b.len && String.equal a.data b.data
+
+  (* Seven little-endian bytes (56 bits, inside OCaml's int) per step,
+     then the length, so trailing zero bits are not a collision. *)
+  let hash ~seed b =
+    let s = b.data in
+    let n = String.length s in
+    let acc = ref (Mix.mix seed) and i = ref 0 in
+    while !i < n do
+      let stop = if n - !i < 7 then n else !i + 7 in
+      let w = ref 0 in
+      for j = stop - 1 downto !i do
+        w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
+      done;
+      acc := Mix.combine !acc !w;
+      i := stop
+    done;
+    Mix.combine !acc b.len
+end
+
 module Writer = struct
   type t = { mutable bits : Bytes.t; mutable len : int }
 
@@ -10,7 +51,9 @@ module Writer = struct
 
   let length_bits w = w.len
 
-  (* Grow (by doubling) until [extra] more bits fit. *)
+  (* Grow (by doubling) until [extra] more bits fit.  Bytes past [len] are
+     always zero: the buffer starts zeroed and only bits below [len] are
+     ever set. *)
   let reserve w extra =
     let need = w.len + extra in
     let cap = Bytes.length w.bits in
@@ -34,10 +77,6 @@ module Writer = struct
   let bit w b =
     reserve w 1;
     push w b
-
-  let bools w bits =
-    reserve w (Array.length bits);
-    Array.iter (push w) bits
 
   let fixed w ~width v =
     if width < 0 || width > 62 then invalid_arg "Bitbuf.fixed: width";
@@ -64,7 +103,31 @@ module Writer = struct
     if v < 0 then invalid_arg "Bitbuf.nat: needs natural";
     delta w (v + 1)
 
-  let contents w = Array.init w.len (fun i -> Char.code (Bytes.get w.bits (i / 8)) land (1 lsl (i mod 8)) <> 0)
+  (* Source byte [i] lands at bit [len mod 8] of destination byte
+     [len / 8 + i]; its high bits spill into the next byte.  The
+     destination bytes are zero past [len], so OR-ing is enough, and a
+     spill is nonzero only when it holds bits below the new length, which
+     [reserve] covered. *)
+  let append_bits w (b : Bits.t) =
+    let n = b.len in
+    if n > 0 then begin
+      reserve w n;
+      let dst = w.len lsr 3 and sh = w.len land 7 in
+      let nbytes = (n + 7) lsr 3 in
+      if sh = 0 then Bytes.blit_string b.data 0 w.bits dst nbytes
+      else
+        for i = 0 to nbytes - 1 do
+          let x = Char.code (String.unsafe_get b.data i) in
+          let d = dst + i in
+          Bytes.unsafe_set w.bits d
+            (Char.unsafe_chr (Char.code (Bytes.unsafe_get w.bits d) lor ((x lsl sh) land 0xff)));
+          let hi = x lsr (8 - sh) in
+          if hi <> 0 then Bytes.set w.bits (d + 1) (Char.unsafe_chr hi)
+        done;
+      w.len <- w.len + n
+    end
+
+  let to_bits w = { Bits.len = w.len; data = Bytes.sub_string w.bits 0 ((w.len + 7) / 8) }
 
   let blit_packed w dst ~dst_off = Bytes.blit w.bits 0 dst dst_off ((w.len + 7) / 8)
 end
@@ -72,41 +135,51 @@ end
 module Reader = struct
   exception Underflow
 
-  (* Message payloads arrive as bool arrays; wire frames as packed bytes
-     read in place from [off]. *)
-  type source = Bits of bool array | Packed of { s : string; off : int }
+  (* [len] bits in the packed layout, read in place from byte [off] of
+     [s]: a message's own string, or a received wire frame. *)
+  type t = { s : string; off : int; len : int; mutable pos : int }
 
-  type t = { src : source; len : int; mutable pos : int }
-
-  let of_bits data = { src = Bits data; len = Array.length data; pos = 0 }
+  let of_bits (b : Bits.t) = { s = b.data; off = 0; len = b.len; pos = 0 }
 
   let of_packed s ~off ~nbits =
     if off < 0 || nbits < 0 || off + ((nbits + 7) / 8) > String.length s then
       invalid_arg "Bitbuf.Reader.of_packed: range outside the string";
-    { src = Packed { s; off }; len = nbits; pos = 0 }
+    { s; off; len = nbits; pos = 0 }
 
   let remaining r = r.len - r.pos
 
-  let packed_bit s off p = Char.code s.[off + (p lsr 3)] land (1 lsl (p land 7)) <> 0
-
-  (* Inlined, so the Elias decoders below pay no call per bit: with the
-     source match, [bit] is past the size the compiler inlines on its own. *)
+  (* Inlined, so the Elias decoders below pay no call per bit. *)
   let[@inline] bit r =
     let p = r.pos in
     if p >= r.len then raise Underflow;
     r.pos <- p + 1;
-    match r.src with
-    | Bits a -> a.(p)
-    | Packed { s; off } -> packed_bit s off p
+    Char.code (String.unsafe_get r.s (r.off + (p lsr 3))) land (1 lsl (p land 7)) <> 0
 
-  let bools r k =
-    if k < 0 then invalid_arg "Bitbuf.Reader.bools: negative length";
+  (* Destination byte [i] is source bits [pos + 8i ..], i.e. the high part
+     of source byte [q + i] and the low part of [q + i + 1] when that byte
+     is still inside the range.  Bits past the [k] read are masked off. *)
+  let read_bits r k =
+    if k < 0 then invalid_arg "Bitbuf.Reader.read_bits: negative length";
     if k > remaining r then raise Underflow;
     let p = r.pos in
     r.pos <- p + k;
-    match r.src with
-    | Bits a -> Array.sub a p k
-    | Packed { s; off } -> Array.init k (fun i -> packed_bit s off (p + i))
+    let nbytes = (k + 7) lsr 3 in
+    let dst = Bytes.create nbytes in
+    let q = r.off + (p lsr 3) and sh = p land 7 in
+    if sh = 0 then Bytes.blit_string r.s q dst 0 nbytes
+    else begin
+      let last = r.off + ((r.len - 1) lsr 3) in
+      for i = 0 to nbytes - 1 do
+        let lo = Char.code (String.unsafe_get r.s (q + i)) lsr sh in
+        let hi =
+          if q + i < last then Char.code (String.unsafe_get r.s (q + i + 1)) lsl (8 - sh) else 0
+        in
+        Bytes.unsafe_set dst i (Char.unsafe_chr ((lo lor hi) land 0xff))
+      done
+    end;
+    if k land 7 <> 0 then
+      Bytes.set_uint8 dst (nbytes - 1) (Bytes.get_uint8 dst (nbytes - 1) land ((1 lsl (k land 7)) - 1));
+    { Bits.len = k; data = Bytes.unsafe_to_string dst }
 
   let fixed r ~width =
     let v = ref 0 in

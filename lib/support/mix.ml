@@ -9,19 +9,3 @@ let mix x =
   if x = 0 then 0x2545f4914f6cdd1d else x
 
 let combine acc x = mix (acc lxor (x + 0x165667b19e3779f9 + (acc lsl 6) + (acc lsr 2)))
-
-let bools ~seed bits =
-  let acc = ref (mix seed) in
-  let word = ref 0 and filled = ref 0 in
-  Array.iter
-    (fun b ->
-      word := (!word lsl 1) lor Bool.to_int b;
-      incr filled;
-      if !filled = 62 then begin
-        acc := combine !acc !word;
-        word := 0;
-        filled := 0
-      end)
-    bits;
-  (* Fold the tail with its width so "0,1" and "0,1,false-padding" differ. *)
-  combine (combine !acc !word) (Array.length bits)

@@ -19,6 +19,3 @@ val mix : int -> int
 val combine : int -> int -> int
 (** [combine acc x] folds [x] into [acc] order-dependently (for hashing
     sequences, as opposed to the XOR idiom for multisets). *)
-
-val bools : seed:int -> bool array -> int
-(** Hash a bit vector under [seed], chunking 62 bits at a time. *)

@@ -21,6 +21,18 @@ echo "rotating qcheck seed: $seed"
 QCHECK_SEED=$seed ALCOTEST_QUICK_TESTS=1 dune runtest --force
 dune build @check-obs @check-net @check-par --force
 
+# The benchmark's own differential checks: every perfbench workload for one
+# second, untimed and traced.  A library change that breaks what the
+# benchmark checks fails here, not only when the benchmark is next run.
+# The last line of each run is its result object; it must read correct
+# with no failed operation.
+for w in run-frozen run-sync verify net-loopback; do
+  for t in 0 1; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace "$t" | tail -n 1 \
+      | python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+  done
+done
+
 # The linear-time kernel at scale: a 100000-node SIMASYNC BUILD run must
 # finish (in seconds) with a valid answer.
 dune build @check-scale --force

@@ -108,4 +108,10 @@ let suites =
       [ Alcotest.test_case "words per write flat from n=1000 to n=8000" `Quick (fun () ->
             let small = words_per_write 1000 and large = words_per_write 8000 in
             if large > 1.25 *. small then
-              Alcotest.failf "%.0f words/write at n=8000 vs %.0f at n=1000" large small) ] ) ]
+              Alcotest.failf "%.0f words/write at n=8000 vs %.0f at n=1000" large small);
+        (* An absolute ceiling as well: a payload stored one heap word per
+           bit, or a per-write copy the kernel does not need, shows here
+           before it shows in any timing. *)
+        Alcotest.test_case "at most 170 words per write at n=1000" `Quick (fun () ->
+            let words = words_per_write 1000 in
+            if words > 170. then Alcotest.failf "%.1f words/write at n=1000, ceiling 170" words) ] ) ]

@@ -299,7 +299,7 @@ let verify_keyless_tests =
 let board_tests =
   [ Alcotest.test_case "append/find/truncate/generation" `Quick (fun () ->
         let b = Board.create 4 in
-        let m author = Message.make ~author ~payload:[| true; false |] in
+        let m author = Message.make ~author ~payload:(Wb_support.Bitbuf.Bits.of_bools [| true; false |]) in
         Board.append b (m 2);
         Board.append b (m 0);
         check "has 2" true (Board.has_author b 2);
@@ -317,7 +317,7 @@ let board_tests =
     Alcotest.test_case "authors_in_order" `Quick (fun () ->
         let b = Board.create 3 in
         List.iter
-          (fun a -> Board.append b (Message.make ~author:a ~payload:[||]))
+          (fun a -> Board.append b (Message.make ~author:a ~payload:Wb_support.Bitbuf.Bits.empty))
           [ 1; 2; 0 ];
         Alcotest.(check (list int)) "order" [ 1; 2; 0 ] (Array.to_list (Board.authors_in_order b)));
     Prop.qtest
@@ -339,7 +339,7 @@ let board_tests =
                     incr author
                   done;
                   if !author < n then
-                    Board.append b (Message.make ~author:!author ~payload:(Array.make k true))
+                    Board.append b (Message.make ~author:!author ~payload:(Wb_support.Bitbuf.Bits.of_bools (Array.make k true)))
                 end
                 else Board.truncate b (k mod (Board.length b + 1)));
                agrees ())
@@ -366,7 +366,7 @@ let adversary_tests =
         let g = G.Gen.star 5 in
         let adv = Adversary.last_writer_neighbor_avoider g in
         let b = Board.create 5 in
-        Board.append b (Message.make ~author:0 ~payload:[||]);
+        Board.append b (Message.make ~author:0 ~payload:Wb_support.Bitbuf.Bits.empty);
         (* all of 1..4 neighbor the center 0: falls back to head *)
         Alcotest.(check int) "fallback" 1
           (Adversary.choose adv b (Candidates.of_list ~n:5 [ 1; 2; 3; 4 ])));

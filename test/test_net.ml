@@ -12,6 +12,7 @@ module Prng = Wb_support.Prng
 module Obs = Wb_obs
 module Net = Wb_net
 module Wire = Wb_net.Wire
+module Bits = Wb_support.Bitbuf.Bits
 module R = Wb_protocols.Registry
 
 let check = Alcotest.(check bool)
@@ -32,14 +33,16 @@ let sample_frames =
     Wire.Activate_reply { round = 12; activate = true };
     Wire.Activate_reply { round = 1; activate = false };
     Wire.Compose_request { round = 40 };
-    Wire.Compose_reply { round = 2; payload = [||] };
-    Wire.Compose_reply { round = 7; payload = [| true; false; true; true |] };
+    Wire.Compose_reply { round = 2; payload = Bits.empty };
+    Wire.Compose_reply { round = 7; payload = Bits.of_bools [| true; false; true; true |] };
     Wire.Write_grant { round = 3; position = 0 };
     Wire.Board_delta { from_pos = 0; generation = 0; messages = [] };
     Wire.Board_delta
       { from_pos = 2;
         generation = 5;
-        messages = [ (0, [| true |]); (9, [||]); (3, Array.make 19 false) ] };
+        messages =
+          [ (0, Bits.of_bools [| true |]); (9, Bits.empty); (3, Bits.of_bools (Array.make 19 false)) ]
+      };
     Wire.Run_end { outcome = "success"; detail = "forest[0;1]"; rounds = 9 };
     Wire.Run_end { outcome = "deadlock"; detail = ""; rounds = 40 };
     Wire.Error { code = Wire.Node_taken; detail = "node 3 already claimed" };
@@ -151,7 +154,7 @@ let gen_frame =
   let open QCheck.Gen in
   let nat = frequency [ (6, 0 -- 60); (1, return 0); (1, 1000 -- 2_000_000) ] in
   let str = string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 12) in
-  let bits = map Array.of_list (list_size (0 -- 48) bool) in
+  let bits = map (fun l -> Bits.of_bools (Array.of_list l)) (list_size (0 -- 48) bool) in
   let code =
     oneofl
       [ Wire.Bad_hello; Wire.Unknown_protocol; Wire.Protocol_mismatch; Wire.Session_busy;
@@ -264,7 +267,7 @@ let wire_pinned_tests =
       (fun () ->
         let frames =
           [ Wire.Activate_query { round = 3 };
-            Wire.Compose_reply { round = 2; payload = [| true; false; true |] };
+            Wire.Compose_reply { round = 2; payload = Bits.of_bools [| true; false; true |] };
             Wire.Run_end { outcome = "success"; detail = "answer"; rounds = 9 } ]
         in
         List.iter
@@ -390,7 +393,7 @@ let ctx_tests =
             Wire.Write_grant { round = 1; position = -5 };
             Wire.Hello { session = "s"; protocol = "p"; node_pref = Some (-1) };
             Wire.Hello_ack { session = "s"; node = 0; n = 2; neighbors = [| 1; -1 |]; bound = 3 };
-            Wire.Board_delta { from_pos = 0; generation = 0; messages = [ (-2, [||]) ] } ]) ]
+            Wire.Board_delta { from_pos = 0; generation = 0; messages = [ (-2, Bits.empty) ] } ]) ]
 
 (* --- wire codec: golden bytes -------------------------------------------- *)
 
@@ -402,14 +405,14 @@ let ctx_tests =
    version 1 too, over its version-2 encodings, so it fails on any drift in
    the format: header, field order, bit order within a byte or padding. *)
 let golden_frames =
-  let bits k = Array.init k (fun i -> (i * 7 + i / 3) mod 5 < 2) in
+  let bits k = Bits.of_bools (Array.init k (fun i -> (i * 7 + i / 3) mod 5 < 2)) in
   [ Wire.Hello { session = "main"; protocol = "bfs"; node_pref = None };
     Wire.Hello { session = "s\000binary\255"; protocol = "two-cliques"; node_pref = Some 41 };
     Wire.Hello_ack { session = "main"; node = 3; n = 16; neighbors = [| 0; 7; 15 |]; bound = 37 };
     Wire.Activate_query { round = 1 };
     Wire.Activate_reply { round = 12; activate = true };
     Wire.Compose_request { round = 40 };
-    Wire.Compose_reply { round = 7; payload = [| true; false; true; true |] };
+    Wire.Compose_reply { round = 7; payload = Bits.of_bools [| true; false; true; true |] };
     Wire.Compose_reply { round = 1_000_000; payload = bits 200 };
     Wire.Write_grant { round = 3; position = 123_456 };
     Wire.Board_delta { from_pos = 0; generation = 0; messages = [] };
@@ -446,7 +449,7 @@ let golden_tests =
 
 (* --- board generations under truncation (incremental readers) ---------- *)
 
-let message v bits = Message.make ~author:v ~payload:(Array.of_list bits)
+let message v bits = Message.make ~author:v ~payload:(Bits.of_bools (Array.of_list bits))
 
 let board_tests =
   [ Alcotest.test_case "truncate rewinds length and bumps the generation" `Quick (fun () ->
@@ -517,15 +520,16 @@ let board_tests =
         check "joined quietly" true (Net.Client.handle client ~ctx:None ack = []);
         check "first delta ok" true
           (Net.Client.handle client ~ctx:None
-             (Wire.Board_delta { from_pos = 0; generation = 0; messages = [ (1, [| true |]) ] })
+             (Wire.Board_delta
+                { from_pos = 0; generation = 0; messages = [ (1, Bits.of_bools [| true |]) ] })
           = []);
         check "same-generation increment ok" true
           (Net.Client.handle client ~ctx:None
-             (Wire.Board_delta { from_pos = 1; generation = 0; messages = [ (2, [||]) ] })
+             (Wire.Board_delta { from_pos = 1; generation = 0; messages = [ (2, Bits.empty) ] })
           = []);
         let replies =
           Net.Client.handle client ~ctx:None
-            (Wire.Board_delta { from_pos = 2; generation = 1; messages = [ (0, [||]) ] })
+            (Wire.Board_delta { from_pos = 2; generation = 1; messages = [ (0, Bits.empty) ] })
         in
         check "incremental delta across generations refused" true
           (match (Net.Client.phase client, replies) with

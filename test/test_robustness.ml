@@ -15,7 +15,7 @@ let garbage_board n seed =
   let rng = Prng.create seed in
   let board = Board.create n in
   for author = 0 to n - 1 do
-    let payload = Array.init (Prng.int rng 40) (fun _ -> Prng.bool rng) in
+    let payload = Wb_support.Bitbuf.Bits.of_bools (Array.init (Prng.int rng 40) (fun _ -> Prng.bool rng)) in
     Board.append board (Message.make ~author ~payload)
   done;
   board
@@ -44,7 +44,7 @@ let corrupted_board_tests =
           Wb_protocols.Codec.write_id w 1;
           Wb_protocols.Codec.write_int w 0;
           Wb_protocols.Codec.write_int w 0;
-          Wb_support.Bitbuf.Writer.contents w
+          Wb_support.Bitbuf.Writer.to_bits w
         in
         let board = Board.create 2 in
         Board.append board (Message.make ~author:0 ~payload:(w ()));
@@ -58,7 +58,7 @@ let corrupted_board_tests =
           Wb_protocols.Codec.write_id w id;
           Wb_protocols.Codec.write_int w deg;
           Wb_protocols.Codec.write_int w sum;
-          Wb_support.Bitbuf.Writer.contents w
+          Wb_support.Bitbuf.Writer.to_bits w
         in
         let board = Board.create 2 in
         Board.append board (Message.make ~author:0 ~payload:(msg 1 1 2));
@@ -124,24 +124,34 @@ let codec_tests =
            let v = v / 4 (* keep 2v in range *) in
            let w = Wb_support.Bitbuf.Writer.create () in
            Wb_protocols.Codec.write_signed w v;
-           let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.contents w) in
+           let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.to_bits w) in
            Wb_protocols.Codec.read_signed r = v));
     Prop.qtest
       (QCheck.Test.make ~name:"payload embedding roundtrip" ~count:200
          QCheck.(small_list bool)
          (fun bits ->
-           let payload = Array.of_list bits in
+           let payload = Wb_support.Bitbuf.Bits.of_bools (Array.of_list bits) in
            let w = Wb_support.Bitbuf.Writer.create () in
            Wb_protocols.Codec.write_payload w payload;
-           let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.contents w) in
+           let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.to_bits w) in
            Wb_protocols.Codec.read_payload r = payload));
+    Alcotest.test_case "payload length past the end raises before allocating" `Quick (fun () ->
+        (* A board message (possibly a remote client's COMPOSE reply)
+           declaring a 2^40-bit embedded payload, followed by a few real
+           bits: decoding must refuse it, not try to allocate it. *)
+        let w = Wb_support.Bitbuf.Writer.create () in
+        Wb_protocols.Codec.write_int w (1 lsl 40);
+        for _ = 1 to 5 do Wb_support.Bitbuf.Writer.bit w true done;
+        let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.to_bits w) in
+        Alcotest.check_raises "underflow" Wb_support.Bitbuf.Reader.Underflow (fun () ->
+            ignore (Wb_protocols.Codec.read_payload r)));
     Prop.qtest
       (QCheck.Test.make ~name:"big-nat wire roundtrip" ~count:200 QCheck.(pair small_int small_int)
          (fun (a, b) ->
            let v = Wb_bignum.Nat.mul (Wb_bignum.Nat.of_int (abs a)) (Wb_bignum.Nat.pow_int 10 (abs b mod 20)) in
            let w = Wb_support.Bitbuf.Writer.create () in
            Wb_protocols.Codec.write_big w v;
-           let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.contents w) in
+           let r = Wb_support.Bitbuf.Reader.of_bits (Wb_support.Bitbuf.Writer.to_bits w) in
            Wb_bignum.Nat.equal (Wb_protocols.Codec.read_big r) v));
     Alcotest.test_case "size estimators are upper bounds" `Quick (fun () ->
         List.iter

@@ -122,7 +122,7 @@ let bitbuf_tests =
          (fun vals ->
            let w = Bitbuf.Writer.create () in
            List.iter (Bitbuf.Writer.nat w) vals;
-           let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w) in
+           let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.to_bits w) in
            List.for_all (fun v -> Bitbuf.Reader.nat r = v) vals && Bitbuf.Reader.remaining r = 0));
     Prop.qtest
       (QCheck.Test.make ~name:"fixed roundtrip" ~count:300
@@ -132,7 +132,7 @@ let bitbuf_tests =
            let width = if width > 61 then 61 else width in
            let w = Bitbuf.Writer.create () in
            Bitbuf.Writer.fixed w ~width v;
-           let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w) in
+           let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.to_bits w) in
            Bitbuf.Reader.fixed r ~width = v));
     Prop.qtest
       (QCheck.Test.make ~name:"gamma/delta roundtrip, delta no longer for big values" ~count:300
@@ -142,8 +142,8 @@ let bitbuf_tests =
            Bitbuf.Writer.gamma w1 v;
            let w2 = Bitbuf.Writer.create () in
            Bitbuf.Writer.delta w2 v;
-           let r1 = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w1) in
-           let r2 = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w2) in
+           let r1 = Bitbuf.Reader.of_bits (Bitbuf.Writer.to_bits w1) in
+           let r2 = Bitbuf.Reader.of_bits (Bitbuf.Writer.to_bits w2) in
            Bitbuf.Reader.gamma r1 = v && Bitbuf.Reader.delta r2 = v
            && (v < 32 || Bitbuf.Writer.length_bits w2 <= Bitbuf.Writer.length_bits w1)));
     Alcotest.test_case "width_of" `Quick (fun () ->
@@ -151,7 +151,7 @@ let bitbuf_tests =
           (fun (v, w) -> Alcotest.(check int) (string_of_int v) w (Bitbuf.width_of v))
           [ (0, 0); (1, 1); (2, 2); (3, 2); (4, 3); (255, 8); (256, 9) ]);
     Alcotest.test_case "underflow raises" `Quick (fun () ->
-        let r = Bitbuf.Reader.of_bits [| true |] in
+        let r = Bitbuf.Reader.of_bits (Bitbuf.Bits.of_bools [| true |]) in
         ignore (Bitbuf.Reader.bit r);
         Alcotest.check_raises "bit" Bitbuf.Reader.Underflow (fun () -> ignore (Bitbuf.Reader.bit r)));
     Alcotest.test_case "mixed stream" `Quick (fun () ->
@@ -161,7 +161,7 @@ let bitbuf_tests =
         Bitbuf.Writer.nat w 0;
         Bitbuf.Writer.gamma w 1;
         Bitbuf.Writer.delta w 1000;
-        let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.contents w) in
+        let r = Bitbuf.Reader.of_bits (Bitbuf.Writer.to_bits w) in
         check "bit" true (Bitbuf.Reader.bit r);
         Alcotest.(check int) "fixed" 99 (Bitbuf.Reader.fixed r ~width:7);
         Alcotest.(check int) "nat" 0 (Bitbuf.Reader.nat r);
@@ -181,9 +181,12 @@ let pack_reference bits =
 
 let bit_chunks = QCheck.(small_list (map Array.of_list (list_of_size Gen.(0 -- 150) bool)))
 
+let string_of_bits b =
+  String.init (Bitbuf.Bits.length b) (fun i -> if Bitbuf.Bits.get b i then '1' else '0')
+
 (* A reader script: each step is one read, logged with its result, and the
    first [Underflow] ends the log with the position it happened at. *)
-type read_op = Bit | Fixed of int | Nat | Bools of int
+type read_op = Bit | Fixed of int | Nat | Read_bits of int
 
 let run_script r ops =
   let remaining0 = Bitbuf.Reader.remaining r in
@@ -195,8 +198,7 @@ let run_script r ops =
         | Bit -> if Bitbuf.Reader.bit r then "1" else "0"
         | Fixed width -> Printf.sprintf "f%d" (Bitbuf.Reader.fixed r ~width)
         | Nat -> Printf.sprintf "n%d" (Bitbuf.Reader.nat r)
-        | Bools k ->
-          String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") (Bitbuf.Reader.bools r k)))
+        | Read_bits k -> string_of_bits (Bitbuf.Reader.read_bits r k)
       with
       | v -> go (v :: acc) rest
       | exception Bitbuf.Reader.Underflow ->
@@ -209,29 +211,37 @@ let gen_script =
     list_size (0 -- 40)
       (frequency
          [ (3, return Bit); (2, map (fun w -> Fixed w) (0 -- 20)); (2, return Nat);
-           (2, map (fun k -> Bools k) (0 -- 40)) ]))
+           (2, map (fun k -> Read_bits k) (0 -- 40)) ]))
 
 let bitbuf_block_tests =
   [ Prop.qtest
-      (QCheck.Test.make ~name:"Writer.bools equals a loop of Writer.bit" ~count:300 bit_chunks
+      (QCheck.Test.make ~name:"Writer.append_bits at every bit offset equals a loop of Writer.bit"
+         ~count:200 bit_chunks
          (fun chunks ->
-           let wb = Bitbuf.Writer.create () and wl = Bitbuf.Writer.create () in
-           List.iter
-             (fun c ->
-               (* an odd bit between chunks keeps them off byte boundaries *)
-               Bitbuf.Writer.bit wb true;
-               Bitbuf.Writer.bit wl true;
-               Bitbuf.Writer.bools wb c;
-               Array.iter (Bitbuf.Writer.bit wl) c)
-             chunks;
-           Bitbuf.Writer.contents wb = Bitbuf.Writer.contents wl));
+           List.for_all
+             (fun start ->
+               let wb = Bitbuf.Writer.create () and wl = Bitbuf.Writer.create () in
+               for i = 1 to start do
+                 Bitbuf.Writer.bit wb (i land 1 = 1);
+                 Bitbuf.Writer.bit wl (i land 1 = 1)
+               done;
+               List.iter
+                 (fun c ->
+                   Bitbuf.Writer.append_bits wb (Bitbuf.Bits.of_bools c);
+                   Array.iter (Bitbuf.Writer.bit wl) c;
+                   (* an odd bit between chunks moves the next one's offset *)
+                   Bitbuf.Writer.bit wb true;
+                   Bitbuf.Writer.bit wl true)
+                 chunks;
+               Bitbuf.Writer.to_bits wb = Bitbuf.Writer.to_bits wl)
+             (List.init 8 Fun.id)));
     Prop.qtest
       (QCheck.Test.make ~name:"blit_packed is the packed contents, padding zero" ~count:300
          QCheck.(pair bit_chunks (int_range 0 5))
          (fun (chunks, dst_off) ->
            let w = Bitbuf.Writer.create () in
-           List.iter (Bitbuf.Writer.bools w) chunks;
-           let packed = pack_reference (Bitbuf.Writer.contents w) in
+           List.iter (fun c -> Bitbuf.Writer.append_bits w (Bitbuf.Bits.of_bools c)) chunks;
+           let packed = pack_reference (Array.concat chunks) in
            let n = String.length packed in
            (* surround the target range with set bytes the blit must not touch *)
            let dst = Bytes.make (dst_off + n + 2) '\255' in
@@ -256,16 +266,55 @@ let bitbuf_block_tests =
              Bytes.set_uint8 packed last (Bytes.get_uint8 packed last lor (0xff lsl (nbits mod 8) land 0xff))
            end;
            let rp = Bitbuf.Reader.of_packed (Bytes.to_string packed) ~off ~nbits in
-           run_script rp script = run_script (Bitbuf.Reader.of_bits bits) script));
-    Alcotest.test_case "bools underflows before consuming, on both sources" `Quick (fun () ->
+           run_script rp script = run_script (Bitbuf.Reader.of_bits (Bitbuf.Bits.of_bools bits)) script));
+    Prop.qtest
+      (QCheck.Test.make ~name:"Reader.read_bits at every offset returns the same bits, padding zero"
+         ~count:200
+         (QCheck.make QCheck.Gen.(map Array.of_list (list_size (0 -- 120) bool)))
+         (fun bits ->
+           let nbits = Array.length bits in
+           (* set junk around the range, which must not reach the result *)
+           let packed = Bytes.of_string ("\255" ^ pack_reference bits) in
+           if nbits mod 8 <> 0 then begin
+             let last = Bytes.length packed - 1 in
+             Bytes.set_uint8 packed last (Bytes.get_uint8 packed last lor (0xff lsl (nbits mod 8) land 0xff))
+           end;
+           let packed = Bytes.to_string packed in
+           List.for_all
+             (fun p ->
+               p > nbits
+               ||
+               let k = (nbits - p) * (p + 1) / 8 in
+               List.for_all
+                 (fun r ->
+                   for _ = 1 to p do ignore (Bitbuf.Reader.bit r) done;
+                   (* structural equality: same bits and zero padding *)
+                   Bitbuf.Reader.read_bits r k = Bitbuf.Bits.of_bools (Array.sub bits p k)
+                   && Bitbuf.Reader.remaining r = nbits - p - k)
+                 [ Bitbuf.Reader.of_bits (Bitbuf.Bits.of_bools bits);
+                   Bitbuf.Reader.of_packed packed ~off:1 ~nbits ])
+             (List.init 8 Fun.id)));
+    Prop.qtest
+      (QCheck.Test.make ~name:"Bits.hash: equal strings agree, an appended false bit differs"
+         ~count:200
+         QCheck.(pair (array_of_size Gen.(0 -- 70) bool) small_nat)
+         (fun (bits, seed) ->
+           let w = Bitbuf.Writer.create () in
+           Array.iter (Bitbuf.Writer.bit w) bits;
+           let h = Bitbuf.Bits.hash ~seed (Bitbuf.Bits.of_bools bits) in
+           (* Equal strings built two ways agree; the length is folded in,
+              so trailing-zero padding is not a collision. *)
+           h = Bitbuf.Bits.hash ~seed (Bitbuf.Writer.to_bits w)
+           && h <> Bitbuf.Bits.hash ~seed (Bitbuf.Bits.of_bools (Array.append bits [| false |]))));
+    Alcotest.test_case "read_bits underflows before consuming, on both constructors" `Quick (fun () ->
         List.iter
           (fun (name, r) ->
             ignore (Bitbuf.Reader.bit r);
             Alcotest.check_raises name Bitbuf.Reader.Underflow (fun () ->
-                ignore (Bitbuf.Reader.bools r 10));
+                ignore (Bitbuf.Reader.read_bits r 10));
             Alcotest.(check int) (name ^ " remaining") 8 (Bitbuf.Reader.remaining r);
-            Alcotest.(check int) (name ^ " rest") 8 (Array.length (Bitbuf.Reader.bools r 8)))
-          [ ("of_bits", Bitbuf.Reader.of_bits (Array.make 9 true));
+            Alcotest.(check int) (name ^ " rest") 8 (Bitbuf.Bits.length (Bitbuf.Reader.read_bits r 8)))
+          [ ("of_bits", Bitbuf.Reader.of_bits (Bitbuf.Bits.of_bools (Array.make 9 true)));
             ("of_packed", Bitbuf.Reader.of_packed "\255\001" ~off:0 ~nbits:9) ]);
     Alcotest.test_case "of_packed refuses a range outside the string" `Quick (fun () ->
         Alcotest.check_raises "past the end"
@@ -348,16 +397,7 @@ let mix_tests =
          QCheck.(pair small_nat small_nat)
          (fun (a, b) ->
            QCheck.assume (a <> b);
-           Mix.combine (Mix.combine 0 a) b <> Mix.combine (Mix.combine 0 b) a));
-    Prop.qtest
-      (QCheck.Test.make ~name:"bools: injective-ish and length-sensitive" ~count:200
-         QCheck.(pair (array_of_size Gen.(0 -- 70) bool) small_nat)
-         (fun (bits, seed) ->
-           let h = Mix.bools ~seed bits in
-           (* Stable, and appending a zero bit changes the hash (length is
-              folded in, so trailing-zero padding is not a collision). *)
-           h = Mix.bools ~seed bits
-           && h <> Mix.bools ~seed (Array.append bits [| false |]))) ]
+           Mix.combine (Mix.combine 0 a) b <> Mix.combine (Mix.combine 0 b) a)) ]
 
 let deque_tests =
   [ Alcotest.test_case "owner LIFO, thief FIFO" `Quick (fun () ->
